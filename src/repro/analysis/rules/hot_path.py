@@ -5,7 +5,8 @@ the vectorized batch kernels ``engine.batch``, the adaptive planner's
 per-pair observation loop (``engine.planner``), their thin ``core``
 wrappers (``core.join``, ``core.search``), ``ged.astar``, the compiled
 verifier ``ged.compiled``, the interned filter kernels ``grams.vocab``
-/ ``grams.mismatch``, the columnar store builder ``grams.columnar``
+/ ``grams.mismatch``, the columnar store builder ``grams.columnar``,
+the collection q-gram walk ``grams.pathwalk`` (per block and per graph)
 and the out-of-core shard drivers (``engine.sharded`` per candidate,
 ``runtime.sharded`` per spilled record)
 are the per-pair / per-state / per-block inner loops of the whole
@@ -46,6 +47,7 @@ TARGET_MODULES = {
     "repro.ged.compiled",
     "repro.grams.columnar",
     "repro.grams.mismatch",
+    "repro.grams.pathwalk",
     "repro.grams.vocab",
     "repro.runtime.sharded",
 }
@@ -64,8 +66,8 @@ class HotPathAllocationRule(Rule):
         "flag list()/dict() copies and extract_qgrams calls inside loops "
         "in core.join/core.search/engine.batch/engine.executor/"
         "engine.planner/engine.sharded/engine.stages/ged.astar/"
-        "ged.compiled/grams.columnar/grams.mismatch/grams.vocab/"
-        "runtime.sharded"
+        "ged.compiled/grams.columnar/grams.mismatch/grams.pathwalk/"
+        "grams.vocab/runtime.sharded"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:

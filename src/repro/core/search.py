@@ -37,7 +37,7 @@ from repro.exceptions import ParameterError
 from repro.ged.compiled import VerificationCache
 from repro.graph.graph import Graph
 from repro.grams.columnar import ColumnarStore, build_columnar_store
-from repro.grams.qgrams import QGramProfile, extract_qgrams
+from repro.grams.qgrams import QGramProfile, extract_profiles, extract_qgrams
 
 __all__ = ["GSimIndex"]
 
@@ -98,11 +98,20 @@ class GSimIndex:
         self._cache: Optional[VerificationCache] = VerificationCache()
 
         initial = list(graphs)
-        initial_profiles = [extract_qgrams(g, self.options.q) for g in initial]
         # Freeze the ordering on the initial collection (or empty):
         # either an interning vocabulary (ids in global-ordering rank,
-        # the default) or the repr-tokenized object-key ordering.
-        self._sorter: Sorter = build_sorter(initial_profiles, self.options)
+        # the default; the collection walk returns the profiles already
+        # sorted in it) or the repr-tokenized object-key ordering.
+        self._sorter: Sorter
+        if self.options.interned:
+            initial_profiles, self._sorter = extract_profiles(
+                initial, self.options.q
+            )
+        else:
+            initial_profiles = [extract_qgrams(g, self.options.q) for g in initial]
+            self._sorter = build_sorter(initial_profiles, self.options)
+            for profile in initial_profiles:
+                self._sorter.sort_profile(profile)
         for g, profile in zip(initial, initial_profiles):
             self._validate_new(g)
             self._insert(g, profile)
@@ -117,7 +126,7 @@ class GSimIndex:
             raise ParameterError(f"duplicate graph id {g.graph_id!r}")
 
     def _insert(self, g: Graph, profile: QGramProfile) -> None:
-        self._sorter.sort_profile(profile)
+        """Index ``g`` by its ``profile``, already sorted by the sorter."""
         info = self._prefix(profile, self.tau_max)
         position = len(self.graphs)
         self.graphs.append(g)
@@ -147,7 +156,9 @@ class GSimIndex:
             If the graph has no id or a duplicate id.
         """
         self._validate_new(g)
-        self._insert(g, extract_qgrams(g, self.options.q))
+        profile = extract_qgrams(g, self.options.q)
+        self._sorter.sort_profile(profile)
+        self._insert(g, profile)
 
     def _prefix(self, profile: QGramProfile, tau: int) -> PrefixInfo:
         return self._plan.prefix.prefix_info(profile, tau)

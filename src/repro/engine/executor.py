@@ -46,7 +46,6 @@ from repro.engine.count_filter import passes_size_filter
 from repro.engine.inverted_index import InvertedIndex
 from repro.engine.options import (
     GSimJoinOptions,
-    Sorter,
     build_sorter,
     validate_collection,
 )
@@ -76,7 +75,7 @@ from repro.grams.columnar import (
     build_columnar_store,
     np,
 )
-from repro.grams.qgrams import QGramProfile, extract_qgrams
+from repro.grams.qgrams import QGramProfile, extract_profiles, extract_qgrams
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
@@ -333,9 +332,14 @@ class Executor:
 
     def prepare(
         self, graphs: Sequence[Graph]
-    ) -> Tuple[List[QGramProfile], List[PrefixInfo], List[LabelPair], Sorter]:
+    ) -> Tuple[List[QGramProfile], List[PrefixInfo], List[LabelPair]]:
         """Extract q-grams, build/apply the global ordering, compute
         prefixes and label multisets for ``graphs``.
+
+        Interned runs extract the whole collection in one
+        :func:`~repro.grams.qgrams.extract_profiles` call (profiles come
+        back sorted, the vocabulary built); the object-key reference
+        path extracts per graph and sorts with the object ordering.
 
         Accrues ``total_prefix_length``/``unprunable_graphs`` and the
         prepare/prefix stage rows.  The caller owns the ``index_time``
@@ -343,10 +347,13 @@ class Executor:
         """
         stats, tau = self.stats, self.tau
         started = time.perf_counter()
-        profiles = [extract_qgrams(g, self.options.q) for g in graphs]
-        sorter = build_sorter(profiles, self.options)
-        for profile in profiles:
-            sorter.sort_profile(profile)
+        if self.options.interned:
+            profiles, _ = extract_profiles(graphs, self.options.q)
+        else:
+            profiles = [extract_qgrams(g, self.options.q) for g in graphs]
+            sorter = build_sorter(profiles, self.options)
+            for profile in profiles:
+                sorter.sort_profile(profile)
         prepared = time.perf_counter()
 
         prefix_stage = self.plan.prefix
@@ -388,7 +395,7 @@ class Executor:
             )
             self.apply_pending_replan()
             self._refresh_estimates()
-        return profiles, prefixes, labels, sorter
+        return profiles, prefixes, labels
 
     # --- Adaptive planning ---------------------------------------------
 
@@ -794,7 +801,7 @@ def execute_self_join(
     executor = Executor(tau, options, stats, budget=budget)
 
     started = time.perf_counter()
-    profiles, prefixes, labels, _sorter = executor.prepare(graphs)
+    profiles, prefixes, labels = executor.prepare(graphs)
     executor.build_store(profiles, labels, prefixes)
     stats.index_time += time.perf_counter() - started
 
@@ -924,7 +931,7 @@ def execute_rs_join(
 
     started = time.perf_counter()
     all_graphs = list(outer) + list(inner)
-    profiles_all, prefixes_all, labels_all, _sorter = executor.prepare(all_graphs)
+    profiles_all, prefixes_all, labels_all = executor.prepare(all_graphs)
     n_outer = len(outer)
     outer_profiles = profiles_all[:n_outer]
     inner_profiles = profiles_all[n_outer:]

@@ -42,10 +42,12 @@ class QGramOrdering:
     def sort_profile(self, profile: QGramProfile) -> List[QGram]:
         """Return the profile's q-gram instances sorted in this ordering.
 
-        The profile's ``grams`` list is also replaced in place so later
-        phases (prefix probing, mismatch extraction) see the sorted view.
+        The profile itself is reordered (:meth:`~repro.grams.qgrams.
+        QGramProfile.reorder`, a stable sort) so later phases (prefix
+        probing, mismatch extraction) see the sorted view.
         """
-        profile.grams.sort(key=lambda gram: self.sort_token(gram.key))
+        tokens = [self.sort_token(key) for key in profile.keys]
+        profile.reorder(sorted(range(len(tokens)), key=tokens.__getitem__))
         return profile.grams
 
 

@@ -9,13 +9,13 @@ is embarrassingly parallel across candidate pairs.
 *collect* the candidate pairs, then verifies them in chunks on a
 ``concurrent.futures`` process pool.
 
-Each worker lazily builds its own q-gram profile cache, so graphs are
-profiled at most once per worker regardless of how many candidate pairs
-they participate in.  The parent ships the frozen global ordering (the
-interning vocabulary, or the object-key ordering on the reference path)
-to every worker via the pool initializer, and workers sort each profile
-in it — mismatch-instance selection and the improved A* vertex order
-therefore match the sequential join exactly.
+Workers never extract q-grams.  The parent ships its profiles, already
+sorted in the frozen global ordering (the interning vocabulary, or the
+object-key ordering on the reference path), and the label multisets to
+every worker via the pool initializer — inherited for free under
+``fork``, pickled once per worker under ``spawn``.  Mismatch-instance
+selection and the improved A* vertex order therefore match the
+sequential join exactly.
 
 Workers return one :class:`~repro.runtime.journal.VerificationRecord`
 per pair; the parent accrues those records into the join statistics —
@@ -56,7 +56,7 @@ from repro.engine.executor import (
     self_join_meta,
 )
 from repro.engine.inverted_index import InvertedIndex
-from repro.engine.options import GSimJoinOptions, Sorter, validate_collection
+from repro.engine.options import GSimJoinOptions, validate_collection
 from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
 from repro.engine.stages import VerifyOutcome
 from repro.engine.verify import _filters_for, _filters_for_order, verify_pair
@@ -65,7 +65,7 @@ from repro.ged.compiled import VerificationCache
 from repro.ged.portfolio import validate_backend_options
 from repro.graph.graph import Graph
 from repro.grams.columnar import ColumnarStore
-from repro.grams.qgrams import extract_qgrams
+from repro.grams.qgrams import QGramProfile
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
@@ -87,22 +87,23 @@ _worker: dict = {}
 
 
 def _init_worker(
-    graphs: Sequence[Graph],
+    profiles: Sequence[QGramProfile],
+    labels: Sequence[Tuple],
     tau: int,
     options: GSimJoinOptions,
-    sorter: Sorter,
     budget: Optional[VerificationBudget] = None,
     fault: Optional[FaultPlan] = None,
     store: Optional[ColumnarStore] = None,
 ) -> None:
-    _worker["graphs"] = list(graphs)
+    # The parent's profiles arrive already sorted in its global ordering
+    # (with its vocabulary as their signature source), together with the
+    # label multisets: workers never extract or sort.
+    _worker["profiles"] = profiles
+    _worker["labels"] = labels
     _worker["tau"] = tau
     _worker["options"] = options
-    _worker["sorter"] = sorter
     _worker["budget"] = budget
     _worker["injector"] = fault.start() if fault is not None else None
-    _worker["profiles"] = {}
-    _worker["labels"] = {}
     # Each worker compiles the graphs it touches once, however many
     # candidate pairs they appear in across this worker's chunks.
     _worker["cache"] = VerificationCache()
@@ -130,23 +131,6 @@ def _init_worker(
     )
 
 
-def _profile_of(i: int):
-    cached = _worker["profiles"].get(i)
-    if cached is None:
-        g = _worker["graphs"][i]
-        cached = extract_qgrams(g, _worker["options"].q)
-        _worker["sorter"].sort_profile(cached)
-        # Fork-safety waivers: this memo is per-process verification
-        # state — each worker fills and reads only its own copy, and the
-        # parent never reads it back, so worker-local divergence is the
-        # design, not a race.
-        _worker["profiles"][i] = cached  # repro: ignore[fork-safety]
-        _worker["labels"][i] = (  # repro: ignore[fork-safety]
-            g.vertex_label_multiset(), g.edge_label_multiset()
-        )
-    return cached, _worker["labels"][i]
-
-
 def _verify_chunk(chunk: List[Tuple[int, int]]) -> List[VerificationRecord]:
     """Verify a batch of candidate pairs inside a worker process.
 
@@ -164,6 +148,8 @@ def _verify_chunk(chunk: List[Tuple[int, int]]) -> List[VerificationRecord]:
     injector: Optional[FaultInjector] = _worker["injector"]
     store: Optional[ColumnarStore] = _worker["store"]
     batch_stages = _worker["batch_stages"]
+    profiles: Sequence[QGramProfile] = _worker["profiles"]
+    labels: Sequence[Tuple] = _worker["labels"]
     records: List[VerificationRecord] = []
     pos = 0
     while pos < len(chunk):
@@ -191,8 +177,8 @@ def _verify_chunk(chunk: List[Tuple[int, int]]) -> List[VerificationRecord]:
                     injector.step()
                 records.append(record_of(i, j, VerifyOutcome(False, tag)))
                 continue
-            p_i, labels_i = _profile_of(i)
-            p_j, labels_j = _profile_of(j)
+            p_i, labels_i = profiles[i], labels[i]
+            p_j, labels_j = profiles[j], labels[j]
             if injector is not None:
                 injector.step()
             outcome = verify_pair(
@@ -256,10 +242,10 @@ def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
 
 def _fallback_verify(
     chunk: List[Tuple[int, int]],
-    graphs: Sequence[Graph],
+    profiles: Sequence[QGramProfile],
+    labels: Sequence[Tuple],
     tau: int,
     options: GSimJoinOptions,
-    sorter: Sorter,
     budget: Optional[VerificationBudget],
     stats: JoinStatistics,
 ) -> List[VerificationRecord]:
@@ -270,7 +256,7 @@ def _fallback_verify(
     recorded as undecided with ``pruned_by="error"`` so the join's
     accounting stays complete.
     """
-    _init_worker(graphs, tau, options, sorter, budget, None)
+    _init_worker(profiles, labels, tau, options, budget, None)
     records: List[VerificationRecord] = []
     try:
         for i, j in chunk:
@@ -347,7 +333,7 @@ def execute_parallel_join(
 
     # --- Phase 1: sequential scan, collecting candidate pairs ---------
     started = time.perf_counter()
-    profiles, prefixes, labels, sorter = executor.prepare(graphs)
+    profiles, prefixes, labels = executor.prepare(graphs)
     store = executor.build_store(profiles, labels, prefixes)
     stats.index_time += time.perf_counter() - started
 
@@ -449,8 +435,7 @@ def execute_parallel_join(
         ]
         if workers == 1:
             _init_worker(
-                list(graphs), tau, worker_options, sorter, budget, fault,
-                store,
+                profiles, labels, tau, worker_options, budget, fault, store
             )
             try:
                 for chunk in chunks:
@@ -464,10 +449,10 @@ def execute_parallel_join(
         elif chunks:
             chunk_records = _run_chunks(
                 chunks,
-                graphs=list(graphs),
+                profiles=profiles,
+                labels=labels,
                 tau=tau,
                 options=worker_options,
-                sorter=sorter,
                 budget=budget,
                 fault=fault,
                 store=store,
@@ -514,10 +499,10 @@ def execute_parallel_join(
 
 def _run_chunks(
     chunks: List[List[Tuple[int, int]]],
-    graphs: Sequence[Graph],
+    profiles: Sequence[QGramProfile],
+    labels: Sequence[Tuple],
     tau: int,
     options: GSimJoinOptions,
-    sorter: Sorter,
     budget: Optional[VerificationBudget],
     fault: Optional[FaultPlan],
     store: Optional[ColumnarStore],
@@ -545,7 +530,7 @@ def _run_chunks(
         executor = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(graphs, tau, options, sorter, budget, fault, store),
+            initargs=(profiles, labels, tau, options, budget, fault, store),
         )
         failed: Optional[int] = None
         clean = True
@@ -579,10 +564,10 @@ def _run_chunks(
             pending = [idx for idx in pending if idx != failed]
             chunk_records[failed] = _fallback_verify(
                 chunks[failed],
-                graphs,
+                profiles,
+                labels,
                 tau,
                 options,
-                sorter,
                 fallback_budget,
                 stats,
             )

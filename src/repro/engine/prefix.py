@@ -55,7 +55,7 @@ def basic_prefix(profile: QGramProfile, tau: int) -> PrefixInfo:
 def minedit_prefix(profile: QGramProfile, tau: int) -> PrefixInfo:
     """Minimum edit filtering prefix of Lemma 3 (Algorithm 4).
 
-    ``profile.grams`` must already be sorted in the global ordering
+    The profile must already be sorted in the global ordering
     (see :meth:`repro.grams.vocab.QGramVocabulary.sort_profile` /
     :meth:`repro.engine.ordering.QGramOrdering.sort_profile`).  Interned
     profiles (a signature is attached) take the direct single-sweep
@@ -64,7 +64,7 @@ def minedit_prefix(profile: QGramProfile, tau: int) -> PrefixInfo:
     identical lengths.
     """
     if profile.signature is not None:
-        length = min_prefix_length_direct(profile.grams, tau, profile.d_path)
+        length = min_prefix_length_direct(profile.paths, tau, profile.d_path)
     else:
         length = min_prefix_length(profile.grams, tau, profile.d_path)
     if length is None:

@@ -62,6 +62,7 @@ from repro.ged.portfolio import validate_backend_options
 from repro.exceptions import CheckpointError, MemoryBudgetError, ParameterError
 from repro.graph.graph import Graph
 from repro.graph.io import dumps_graphs, load_graphs_iter
+from repro.grams.qgrams import QGramProfile
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
@@ -442,8 +443,8 @@ class _ComboContext:
     def drain_workers(
         self,
         executor: Executor,
-        graphs: Sequence[Graph],
-        sorter,
+        profiles: Sequence[QGramProfile],
+        labels: Sequence[Tuple],
         todo: List[Tuple[int, int]],
         todo_keys: Dict[Tuple[int, int], Tuple[int, int, object, object]],
     ) -> None:
@@ -452,7 +453,9 @@ class _ComboContext:
         Reuses the parallel executor's fault-tolerant chunk runner
         (pool teardown + re-dispatch + in-process fallback), with no
         worker-side fault injection — the parent owns the fault
-        schedule, stepping once per pair at dispatch.
+        schedule, stepping once per pair at dispatch.  The combo's
+        sorted profiles and label multisets travel to the workers, so
+        nothing is extracted twice.
         """
         if not todo:
             return
@@ -461,10 +464,10 @@ class _ComboContext:
         ]
         chunk_records = _run_chunks(
             chunks,
-            graphs=list(graphs),
+            profiles=profiles,
+            labels=labels,
             tau=self.tau,
             options=self.options,
-            sorter=sorter,
             budget=self.budget,
             fault=None,
             store=None,
@@ -503,7 +506,7 @@ def _run_self_combo(ctx: _ComboContext, positions: Sequence[int],
     stats = ctx.pair_stats
     executor = Executor(ctx.tau, ctx.options, stats, budget=ctx.budget)
     started = time.perf_counter()
-    profiles, prefixes, labels, sorter = executor.prepare(graphs)
+    profiles, prefixes, labels = executor.prepare(graphs)
     stats.index_time += time.perf_counter() - started
 
     index = InvertedIndex()
@@ -536,7 +539,7 @@ def _run_self_combo(ctx: _ComboContext, positions: Sequence[int],
             unprunable.append(i)
         stats.index_time += time.perf_counter() - started
     started = time.perf_counter()
-    ctx.drain_workers(executor, graphs, sorter, todo, todo_keys)
+    ctx.drain_workers(executor, profiles, labels, todo, todo_keys)
     stats.verify_time += time.perf_counter() - started
 
 
@@ -559,7 +562,7 @@ def _run_cross_combo(
     combined = list(graphs_a) + list(graphs_b)
     n_a = len(graphs_a)
     started = time.perf_counter()
-    profiles, prefixes, labels, sorter = executor.prepare(combined)
+    profiles, prefixes, labels = executor.prepare(combined)
     b_profiles = profiles[n_a:]
 
     index = InvertedIndex()
@@ -600,7 +603,7 @@ def _run_cross_combo(
             )
         stats.verify_time += time.perf_counter() - started
     started = time.perf_counter()
-    ctx.drain_workers(executor, combined, sorter, todo, todo_keys)
+    ctx.drain_workers(executor, profiles, labels, todo, todo_keys)
     stats.verify_time += time.perf_counter() - started
 
 

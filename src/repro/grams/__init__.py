@@ -31,7 +31,14 @@ from repro.grams.minedit import (
     min_prefix_length,
 )
 from repro.grams.mismatch import MismatchResult, compare_qgrams, mismatching_grams
-from repro.grams.qgrams import Key, QGram, QGramProfile, extract_qgrams, qgram_key
+from repro.grams.qgrams import (
+    Key,
+    QGram,
+    QGramProfile,
+    extract_profiles,
+    extract_qgrams,
+    qgram_key,
+)
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
 
 __all__ = [
@@ -43,6 +50,7 @@ __all__ = [
     "build_vocabulary",
     "compare_qgrams",
     "connected_gram_components",
+    "extract_profiles",
     "extract_qgrams",
     "gamma",
     "global_label_lower_bound",

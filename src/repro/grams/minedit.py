@@ -172,7 +172,7 @@ def _longest_hit_prefix(
 
 
 def min_prefix_length_direct(
-    sorted_grams: Sequence[QGram],
+    sorted_paths: Sequence[Tuple[Vertex, ...]],
     tau: int,
     d_path: int,
 ) -> Optional[int]:
@@ -185,16 +185,17 @@ def min_prefix_length_direct(
     vertex sets, and a simple path never repeats a vertex, so the path
     tuples serve as the sets directly).  One branch-and-bound sweep
     replaces ``O(log p)`` greedy *and* exact hitting-set solves, each of
-    which rebuilt its instance from scratch.
+    which rebuilt its instance from scratch.  It reads the sorted
+    profile's ``paths`` list directly (:attr:`repro.grams.qgrams.
+    QGramProfile.paths`), never the :class:`QGram` view.
     """
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
-    total = len(sorted_grams)
+    total = len(sorted_paths)
     hard_right = min(tau * d_path + 1, total)
     if hard_right == 0:
         return None
-    paths = [gram.path for gram in sorted_grams[:hard_right]]
-    hittable = _longest_hit_prefix(paths, tau, hard_right)
+    hittable = _longest_hit_prefix(sorted_paths, tau, hard_right)
     if hittable >= hard_right:
         return None  # underflow: prefix filtering cannot prune this graph
     return hittable + 1

@@ -8,21 +8,49 @@ q-grams form a *multiset* — unlike string q-grams they carry no starting
 position, so equal-label paths are genuinely duplicated.
 
 :class:`QGramProfile` bundles everything the filters need about one
-graph: the instance list (with concrete vertex tuples, required by
-minimum edit filtering and local label filtering), the key multiset, the
-per-vertex counts ``|Q_u|`` and their maximum ``D_path`` (Theorem 1).
+graph: the instances as parallel ``keys`` / ``paths`` lists (concrete
+vertex tuples are required by minimum edit filtering and local label
+filtering), the per-vertex counts ``|Q_u|`` and their maximum ``D_path``
+(Theorem 1); the :class:`QGram` view and the key multiset are derived
+on demand.
+
+Two extractors produce that one form.  :func:`extract_profiles` walks a
+whole collection at once (vectorised, in :mod:`repro.grams.pathwalk`)
+and returns the profiles already sorted in the collection's global
+ordering; the join drivers and the index build use it.
+:func:`extract_qgrams` walks one graph; it serves single graphs and the
+no-numpy path, and is the reference the collection walk is tested
+against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph, Vertex
 
-__all__ = ["QGram", "QGramProfile", "extract_qgrams", "qgram_key"]
+if TYPE_CHECKING:
+    from repro.grams.vocab import QGramVocabulary
+
+__all__ = [
+    "QGram",
+    "QGramProfile",
+    "extract_profiles",
+    "extract_qgrams",
+    "qgram_key",
+]
 
 #: A q-gram key: the canonical interleaved label sequence
 #: ``(l(v0), l(e01), l(v1), ..., l(vq))``.
@@ -76,9 +104,17 @@ class QGram:
         ]
 
 
-@dataclass
 class QGramProfile:
     """All q-gram derived quantities of one graph.
+
+    One form serves both extractors (the per-graph walk of
+    :func:`extract_qgrams` and the collection walk of
+    :func:`extract_profiles`): the multiset ``Q_r`` is held as two
+    parallel lists, ``keys[k]`` and ``paths[k]`` describing the k-th
+    instance.  The :class:`QGram` object view (:attr:`grams`) and the
+    key multiset (:attr:`key_counts`) are built on first use and cached;
+    every reordering goes through :meth:`reorder`, which keeps them in
+    step with the lists.
 
     Attributes
     ----------
@@ -86,12 +122,14 @@ class QGramProfile:
         The profiled graph.
     q:
         The q-gram length used.
-    grams:
-        Every q-gram instance (the multiset ``Q_r``), in enumeration
-        order until :meth:`repro.core.ordering.QGramOrdering.sort_profile`
-        reorders them in the global q-gram ordering.
-    key_counts:
-        The key multiset as a :class:`collections.Counter`.
+    keys:
+        The canonical key of every q-gram instance, in enumeration order
+        until a global-ordering sorter (:meth:`repro.grams.vocab.
+        QGramVocabulary.sort_profile` or :meth:`repro.engine.ordering.
+        QGramOrdering.sort_profile`) reorders the profile.
+    paths:
+        The concrete vertex path of every instance, aligned with
+        ``keys``.
     vertex_counts:
         ``|Q_u|`` for every vertex ``u`` (vertices in no q-gram included
         with count 0).
@@ -99,10 +137,10 @@ class QGramProfile:
         ``D_path = max_u |Q_u|`` — the maximum number of q-grams a single
         edit operation can affect (Theorem 1); 0 for a gram-less graph.
     signature:
-        Interned integer ids of the (sorted) grams, aligned index by
+        Interned integer ids of the (sorted) instances, aligned index by
         index — attached by :meth:`repro.grams.vocab.QGramVocabulary.
-        sort_profile`; ``None`` until then (the object-key reference
-        path never attaches one).
+        sort_profile` or :func:`extract_profiles`; ``None`` until then
+        (the object-key reference path never attaches one).
     signature_total:
         ``True`` when the signature contains only frozen-range ids, so
         ascending id *is* the global ordering and two such signatures
@@ -116,24 +154,105 @@ class QGramProfile:
         different vocabularies are never merged).
     """
 
-    graph: Graph
-    q: int
-    grams: List[QGram]
-    key_counts: Counter = field(repr=False)
-    vertex_counts: Dict[Vertex, int] = field(repr=False)
-    d_path: int
-    signature: Optional[List[int]] = field(default=None, repr=False)
-    signature_total: bool = field(default=False, repr=False)
-    signature_source: Optional[object] = field(default=None, repr=False)
+    __slots__ = (
+        "graph",
+        "q",
+        "keys",
+        "paths",
+        "vertex_counts",
+        "d_path",
+        "signature",
+        "signature_total",
+        "signature_source",
+        "_grams",
+        "_key_counts",
+    )
+
+    def __init__(
+        self,
+        graph: Graph,
+        q: int,
+        keys: List[Key],
+        paths: List[Tuple[Vertex, ...]],
+        vertex_counts: Dict[Vertex, int],
+        d_path: int,
+        signature: Optional[List[int]] = None,
+        signature_total: bool = False,
+        signature_source: Optional[object] = None,
+    ) -> None:
+        self.graph = graph
+        self.q = q
+        self.keys = keys
+        self.paths = paths
+        self.vertex_counts = vertex_counts
+        self.d_path = d_path
+        self.signature = signature
+        self.signature_total = signature_total
+        self.signature_source = signature_source
+        self._grams: Optional[List[QGram]] = None
+        self._key_counts: Optional[Counter] = None
+
+    def __repr__(self) -> str:
+        return (
+            f"QGramProfile(graph={self.graph!r}, q={self.q}, "
+            f"size={self.size}, d_path={self.d_path})"
+        )
+
+    #: What a pickle carries: everything but the cached views, which
+    #: are rebuilt on demand (profiles travel to pool workers).
+    _STATE = __slots__[:-2]
+
+    def __getstate__(self) -> Tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self._STATE)
+
+    def __setstate__(self, state: Tuple[object, ...]) -> None:
+        for name, value in zip(self._STATE, state):
+            setattr(self, name, value)
+        self._grams = None
+        self._key_counts = None
+
+    @property
+    def grams(self) -> List[QGram]:
+        """Every q-gram instance as a :class:`QGram` (the multiset ``Q_r``).
+
+        Built from ``keys``/``paths`` on first access and cached; it
+        follows every later :meth:`reorder`.
+        """
+        grams = self._grams
+        if grams is None:
+            grams = self._grams = list(map(QGram, self.keys, self.paths))
+        return grams
+
+    @property
+    def key_counts(self) -> Counter:
+        """The key multiset as a :class:`collections.Counter` (cached)."""
+        counts = self._key_counts
+        if counts is None:
+            counts = self._key_counts = Counter(self.keys)
+        return counts
 
     @property
     def size(self) -> int:
         """``|Q_r|`` — the total number of q-gram instances."""
-        return len(self.grams)
+        return len(self.keys)
 
     def count_lower_bound(self, tau: int) -> int:
         """This graph's side of the count filtering bound: |Q_r| − τ·D_path."""
         return self.size - tau * self.d_path
+
+    def reorder(self, order: Sequence[int]) -> None:
+        """Permute the instances: the k-th becomes the old ``order[k]``-th.
+
+        The one place a profile's instance order changes: ``keys``,
+        ``paths`` and a built :attr:`grams` view move together (the key
+        multiset is order-free).
+        """
+        keys, paths = self.keys, self.paths
+        self.keys = [keys[k] for k in order]
+        self.paths = [paths[k] for k in order]
+        grams = self._grams
+        if grams is not None:
+            self._grams = [grams[k] for k in order]
 
     def attach_signature(
         self,
@@ -141,9 +260,9 @@ class QGramProfile:
         source: Optional[object] = None,
         sort_token: Optional[Callable[[int], Tuple[int, int, str]]] = None,
     ) -> None:
-        """Sort ``grams`` by interned id and record the aligned signature.
+        """Sort the instances by interned id and record the aligned signature.
 
-        ``ids[k]`` must be the interned id of ``grams[k].key``.  Without
+        ``ids[k]`` must be the interned id of ``keys[k]``.  Without
         ``sort_token`` ascending id is taken to be the global ordering
         (a pure integer sort — the fast path); with it, each id is
         ranked by its token instead (used for overflow ids, which rank
@@ -157,7 +276,7 @@ class QGramProfile:
         else:
             order = sorted(range(len(ids)), key=lambda k: sort_token(ids[k]))
             self.signature_total = False
-        self.grams = [self.grams[k] for k in order]
+        self.reorder(order)
         self.signature = [ids[k] for k in order]
         self.signature_source = source
 
@@ -165,26 +284,32 @@ class QGramProfile:
         """The first ``length`` index/probe keys in the global ordering.
 
         Interned ids when a signature is attached (the fast pipeline),
-        otherwise the grams' object keys — both are valid inverted-index
+        otherwise the object keys — both are valid inverted-index
         keys, so join/search code is agnostic to the representation.
         """
         signature = self.signature
         if signature is not None:
             return signature[:length]
-        return [gram.key for gram in self.grams[:length]]
+        return self.keys[:length]
 
 
-def _walk_grams(g: Graph, q: int, vertex_counts: Dict[Vertex, int]) -> List[QGram]:
-    """Fused path walk + key construction.
+def _walk_grams(
+    g: Graph, q: int, vertex_counts: Dict[Vertex, int]
+) -> Tuple[List[Key], List[Tuple[Vertex, ...]]]:
+    """Fused path walk + key construction (the per-graph extractor).
 
     Carries the interleaved label sequence (and its repr view, for the
     canonical-orientation comparison) along the DFS so shared path
-    prefixes never re-fetch labels — extraction is the hottest loop of
-    the whole system (it runs per graph at index time and per state in
-    the improved heuristic).
+    prefixes never re-fetch labels.  Emits the parallel ``keys`` /
+    ``paths`` lists of :class:`QGramProfile` in DFS enumeration order.
+    This walk is the reference for the collection walk of
+    :func:`extract_profiles` and the extractor for single graphs (index
+    queries and inserts, the improved A* heuristic's subgraphs).
     """
-    grams: List[QGram] = []
-    append_gram = grams.append
+    keys: List[Key] = []
+    paths: List[Tuple[Vertex, ...]] = []
+    append_key = keys.append
+    append_path = paths.append
     directed = g.is_directed
     position = {v: i for i, v in enumerate(g.vertices())}
     # Per-vertex (label, repr) and per-neighbor (u, position, label, repr)
@@ -218,7 +343,8 @@ def _walk_grams(g: Graph, q: int, vertex_counts: Dict[Vertex, int]) -> List[QGra
             else:
                 backward_r = reprs[::-1]
                 key = tuple(reversed(labels)) if backward_r < reprs else forward
-            append_gram(QGram(key, tuple(path)))
+            append_key(key)
+            append_path(tuple(path))
             for u in path:
                 vertex_counts[u] += 1
         elif depth == q:
@@ -247,7 +373,7 @@ def _walk_grams(g: Graph, q: int, vertex_counts: Dict[Vertex, int]) -> List[QGra
 
     for start in g.vertices():
         extend(start, 1)
-    return grams
+    return keys, paths
 
 
 def extract_qgrams(g: Graph, q: int) -> QGramProfile:
@@ -265,18 +391,46 @@ def extract_qgrams(g: Graph, q: int) -> QGramProfile:
         raise ParameterError(f"q must be >= 0, got {q}")
     vertex_counts: Dict[Vertex, int] = {v: 0 for v in g.vertices()}
     if q == 0:
-        grams = [QGram((g.vertex_label(v),), (v,)) for v in g.vertices()]
+        keys: List[Key] = [(g.vertex_label(v),) for v in g.vertices()]
+        paths: List[Tuple[Vertex, ...]] = [(v,) for v in g.vertices()]
         for v in vertex_counts:
             vertex_counts[v] = 1
     else:
-        grams = _walk_grams(g, q, vertex_counts)
-    key_counts = Counter(gram.key for gram in grams)
+        keys, paths = _walk_grams(g, q, vertex_counts)
     d_path = max(vertex_counts.values(), default=0)
-    return QGramProfile(
-        graph=g,
-        q=q,
-        grams=grams,
-        key_counts=key_counts,
-        vertex_counts=vertex_counts,
-        d_path=d_path,
-    )
+    return QGramProfile(g, q, keys, paths, vertex_counts, d_path)
+
+
+def extract_profiles(
+    graphs: Sequence[Graph], q: int
+) -> Tuple[List[QGramProfile], "QGramVocabulary"]:
+    """Extract a whole collection: profiles, vocabulary and global order.
+
+    Returns one profile per graph, already sorted in the collection's
+    global q-gram ordering with its interned ``signature`` attached, and
+    the :class:`~repro.grams.vocab.QGramVocabulary` that interned them —
+    exactly what :func:`extract_qgrams` on every graph followed by
+    :func:`~repro.grams.vocab.build_vocabulary` and
+    :meth:`~repro.grams.vocab.QGramVocabulary.sort_profile` produce.
+    With numpy the whole collection goes through the vectorised walk of
+    :mod:`repro.grams.pathwalk`; without it, through those per-graph
+    steps.
+
+    Raises
+    ------
+    ParameterError
+        If ``q`` is negative.
+    """
+    if q < 0:
+        raise ParameterError(f"q must be >= 0, got {q}")
+    # Imported here: both modules build on this one.
+    from repro.grams.pathwalk import HAVE_NUMPY, walk_collection
+    from repro.grams.vocab import build_vocabulary
+
+    if HAVE_NUMPY:
+        return walk_collection(graphs, q)
+    profiles = [extract_qgrams(g, q) for g in graphs]
+    vocabulary = build_vocabulary(profiles)
+    for profile in profiles:
+        vocabulary.sort_profile(profile)
+    return profiles, vocabulary

@@ -87,15 +87,15 @@ class QGramVocabulary:
     def sort_profile(self, profile: QGramProfile) -> List[QGram]:
         """Intern and sort a profile's q-grams in the global ordering.
 
-        The profile's ``grams`` list is reordered (equal keys keep their
+        The profile's instances are reordered (equal keys keep their
         enumeration order — the sort is stable) and its ``signature``
-        array is attached, aligned with the sorted grams.  On the common
+        array is attached, aligned with the sorted instances.  On the common
         all-frozen path this is a pure integer sort; overflow ids take
         the ``repr``-ranked token path and mark the signature
         non-mergeable (``signature_total=False``).
         """
         frozen = self.frozen_size
-        ids = [self.intern(gram.key) for gram in profile.grams]
+        ids = [self.intern(key) for key in profile.keys]
         if not ids or max(ids) < frozen:
             profile.attach_signature(ids, source=self)
         else:
@@ -106,7 +106,7 @@ class QGramVocabulary:
 def build_vocabulary(profiles: Iterable[QGramProfile]) -> QGramVocabulary:
     """Build the vocabulary over ``profiles`` in global-ordering rank.
 
-    The rank is the same ordering :func:`repro.core.ordering.
+    The rank is the same ordering :func:`repro.engine.ordering.
     build_ordering` sorts by — ascending document frequency (number of
     profiles containing the key) with a deterministic lexicographic
     tie-break on ``repr`` — computed once here instead of inside every

@@ -172,6 +172,14 @@ def test_hot_path_covers_columnar_store():
     assert lines_for("hot-path-alloc", path) == [7, 8, 9]
 
 
+def test_hot_path_covers_collection_walk():
+    """The rule extends to the collection q-gram walk (grams.pathwalk)."""
+    path = FIXTURES / "repro" / "grams" / "pathwalk.py"
+    # 7-8: copies in the for loop; 9: extract_qgrams in the for loop;
+    # 12 carries `# repro: ignore[hot-path-alloc]` and is suppressed.
+    assert lines_for("hot-path-alloc", path) == [7, 8, 9]
+
+
 def test_hot_path_covers_sharded_driver():
     """The rule extends to the out-of-core shard driver (engine.sharded)."""
     path = FIXTURES / "repro" / "engine" / "sharded.py"
@@ -211,6 +219,7 @@ def test_hot_path_rule_targets_compiled_module():
     assert "repro.engine.stages" in TARGET_MODULES
     assert "repro.engine.batch" in TARGET_MODULES
     assert "repro.grams.columnar" in TARGET_MODULES
+    assert "repro.grams.pathwalk" in TARGET_MODULES
     assert "repro.engine.sharded" in TARGET_MODULES
     assert "repro.runtime.sharded" in TARGET_MODULES
 

@@ -148,7 +148,7 @@ class TestDirectPrefixParity:
         for profile in profiles:
             vocab.sort_profile(profile)
             assert min_prefix_length_direct(
-                profile.grams, tau, profile.d_path
+                profile.paths, tau, profile.d_path
             ) == min_prefix_length(profile.grams, tau, profile.d_path)
 
 
