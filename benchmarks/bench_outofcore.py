@@ -12,6 +12,12 @@ Not a paper figure: demonstrates the robustness contract of
   lifecycle stage (first verification, mid-shard, last verification,
   the merge boundary) and resumed; each resume must land on the same
   fingerprint.
+
+Both claims run on two collections of the same size: independent random
+molecules, whose join has no result pairs, and the same kind of
+collection in which some molecules have a copy one edit away, whose
+join must have result pairs — a fingerprint over an empty result
+proves little.
 """
 
 import random
@@ -25,12 +31,16 @@ from workloads import format_table, write_series
 from repro import gsim_join
 from repro.core.sharded import gsim_join_sharded, result_fingerprint
 from repro.graph import assign_ids, save_graphs
-from repro.graph.generators import random_molecule
+from repro.graph.generators import ATOM_LABELS, BOND_LABELS, random_molecule
+from repro.graph.operations import perturb
 
 TAU = 1
 SHARDS = 16
 HEADROOM_MB = 48
 NUM_GRAPHS = 700
+#: Molecules with a copy one edit away in the near-duplicate cell (each
+#: result pair costs a GED verification of 60-120-vertex graphs).
+DUPLICATES = 50
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -89,83 +99,113 @@ def _run(driver, *args, timeout=600):
     )
 
 
+def random_molecules(rng, n=NUM_GRAPHS):
+    """``n`` independent molecules (their join has no results)."""
+    return [random_molecule(rng, rng.randint(60, 120)) for _ in range(n)]
+
+
+def near_duplicates(rng):
+    """``NUM_GRAPHS`` molecules, ``DUPLICATES`` of them copies one edit
+    away from another."""
+    graphs = random_molecules(rng, NUM_GRAPHS - DUPLICATES)
+    graphs += [
+        perturb(base, 1, rng, ATOM_LABELS, BOND_LABELS)
+        for base in graphs[:DUPLICATES]
+    ]
+    rng.shuffle(graphs)
+    return graphs
+
+
+def run_cell(graphs, tmp_path):
+    """Measure both claims on one collection; returns the table rows."""
+    collection = tmp_path / "collection.txt"
+    save_graphs(graphs, collection)
+    rows = []
+    started = time.perf_counter()
+    reference = gsim_join(graphs, TAU)
+    fingerprint = result_fingerprint(reference)
+    rows.append([
+        "in-memory, uncapped", f"{time.perf_counter() - started:.2f}",
+        "ok", reference.stats.results,
+    ])
+
+    started = time.perf_counter()
+    capped = _run(CAPPED_IN_MEMORY, collection, HEADROOM_MB)
+    assert capped.returncode != 0, "in-memory join survived the cap"
+    rows.append([
+        f"in-memory, {HEADROOM_MB}MB cap",
+        f"{time.perf_counter() - started:.2f}", "MemoryError", "-",
+    ])
+
+    started = time.perf_counter()
+    sharded = _run(
+        CAPPED_SHARDED, collection, tmp_path / "spill-capped", HEADROOM_MB
+    )
+    assert sharded.returncode == 0, sharded.stderr.decode()
+    assert sharded.stdout.decode().strip() == fingerprint
+    rows.append([
+        f"sharded, {HEADROOM_MB}MB cap",
+        f"{time.perf_counter() - started:.2f}", "ok (fp match)",
+        reference.stats.results,
+    ])
+
+    # Crash recovery: kill at each lifecycle stage, resume, compare.
+    clean = gsim_join_sharded(
+        collection, TAU, spill_dir=tmp_path / "spill-clean", shards=SHARDS
+    )
+    assert result_fingerprint(clean) == fingerprint
+    total = clean.stats.cand1
+    stages = [
+        ("first verification", 1),
+        ("mid-shard", max(1, total // 2)),
+        ("last verification", max(1, total)),
+        ("merge boundary", total + 1),
+    ]
+    for label, kill_at in stages:
+        spill = tmp_path / f"spill-kill-{kill_at}"
+        started = time.perf_counter()
+        proc = _run(KILLED_SHARDED, collection, spill, kill_at)
+        assert proc.returncode == 1, proc.stderr.decode()
+        resumed = gsim_join_sharded(
+            collection, TAU, spill_dir=spill, shards=SHARDS, resume=True
+        )
+        assert result_fingerprint(resumed) == fingerprint
+        rows.append([
+            f"kill at {label} + resume",
+            f"{time.perf_counter() - started:.2f}", "ok (fp match)",
+            resumed.stats.results,
+        ])
+    return reference.stats.results, rows
+
+
 def test_outofcore_sharded_join(benchmark, tmp_path):
     if sys.platform != "linux":
         import pytest
 
         pytest.skip("needs /proc and RLIMIT_AS")
 
-    rng = random.Random(71)
-    graphs = assign_ids(
-        [random_molecule(rng, rng.randint(60, 120)) for _ in range(NUM_GRAPHS)]
-    )
-    collection = tmp_path / "collection.txt"
-    save_graphs(graphs, collection)
+    cells = [
+        ("random molecules", random_molecules),
+        ("near-duplicates", near_duplicates),
+    ]
 
     def compute():
-        rows = []
-        started = time.perf_counter()
-        reference = gsim_join(graphs, TAU)
-        fingerprint = result_fingerprint(reference)
-        rows.append([
-            "in-memory, uncapped", f"{time.perf_counter() - started:.2f}",
-            "ok", reference.stats.results,
-        ])
+        tables = []
+        for k, (name, generate) in enumerate(cells):
+            graphs = assign_ids(generate(random.Random(71)))
+            cell_dir = tmp_path / f"cell-{k}"
+            cell_dir.mkdir()
+            results, rows = run_cell(graphs, cell_dir)
+            if generate is near_duplicates:
+                assert results > 0, "near-duplicate join found no pairs"
+            tables.append(format_table(
+                f"Extension: out-of-core sharded join, {name} "
+                f"({NUM_GRAPHS} graphs, tau={TAU}, {SHARDS} shards)",
+                ["mode", "time (s)", "outcome", "results"],
+                rows,
+            ))
+        return "\n\n".join(tables)
 
-        started = time.perf_counter()
-        capped = _run(CAPPED_IN_MEMORY, collection, HEADROOM_MB)
-        assert capped.returncode != 0, "in-memory join survived the cap"
-        rows.append([
-            f"in-memory, {HEADROOM_MB}MB cap",
-            f"{time.perf_counter() - started:.2f}", "MemoryError", "-",
-        ])
-
-        started = time.perf_counter()
-        sharded = _run(
-            CAPPED_SHARDED, collection, tmp_path / "spill-capped", HEADROOM_MB
-        )
-        assert sharded.returncode == 0, sharded.stderr.decode()
-        assert sharded.stdout.decode().strip() == fingerprint
-        rows.append([
-            f"sharded, {HEADROOM_MB}MB cap",
-            f"{time.perf_counter() - started:.2f}", "ok (fp match)",
-            reference.stats.results,
-        ])
-
-        # Crash recovery: kill at each lifecycle stage, resume, compare.
-        clean = gsim_join_sharded(
-            collection, TAU, spill_dir=tmp_path / "spill-clean", shards=SHARDS
-        )
-        assert result_fingerprint(clean) == fingerprint
-        total = clean.stats.cand1
-        stages = [
-            ("first verification", 1),
-            ("mid-shard", max(1, total // 2)),
-            ("last verification", max(1, total)),
-            ("merge boundary", total + 1),
-        ]
-        for label, kill_at in stages:
-            spill = tmp_path / f"spill-kill-{kill_at}"
-            started = time.perf_counter()
-            proc = _run(KILLED_SHARDED, collection, spill, kill_at)
-            assert proc.returncode == 1, proc.stderr.decode()
-            resumed = gsim_join_sharded(
-                collection, TAU, spill_dir=spill, shards=SHARDS, resume=True
-            )
-            assert result_fingerprint(resumed) == fingerprint
-            rows.append([
-                f"kill at {label} + resume",
-                f"{time.perf_counter() - started:.2f}", "ok (fp match)",
-                resumed.stats.results,
-            ])
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    table = format_table(
-        f"Extension: out-of-core sharded join "
-        f"({NUM_GRAPHS} graphs, tau={TAU}, {SHARDS} shards)",
-        ["mode", "time (s)", "outcome", "results"],
-        rows,
-    )
+    table = benchmark.pedantic(compute, rounds=1, iterations=1)
     write_series("outofcore", table, [])
     print("\n" + table)

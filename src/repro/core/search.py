@@ -13,7 +13,8 @@ their ``tau_max`` prefixes, a superset of every smaller-τ prefix, which
 keeps prefix filtering sound for all admissible thresholds (at the cost
 of a few extra candidates for small τ).  Graphs are also insertable
 incrementally — the global q-gram ordering is frozen at construction,
-and unseen q-gram keys conservatively sort last.
+and unseen q-gram keys conservatively sort last; an insert appends one
+row to the batch kernels' columnar store rather than rebuilding it.
 
 Queries run on the staged execution engine: the index builds its
 :class:`~repro.engine.plan.JoinPlan` once and drives a per-query
@@ -87,8 +88,10 @@ class GSimIndex:
         self._index = InvertedIndex()
         self._unprunable: List[int] = []
         self._prefix_lengths: List[int] = []
-        # Columnar store for the batch kernels, built lazily on the
-        # first batched query and invalidated by every insert.
+        # Columnar store for the batch kernels, built on the first
+        # batched query (not here: a build the index may never use
+        # would only slow construction down); every later insert
+        # appends its row to it.
         self._store: Optional[ColumnarStore] = None
         # Verification cache, living as long as the index: data graphs
         # are compiled on first query touching them and reused by every
@@ -129,12 +132,14 @@ class GSimIndex:
         """Index ``g`` by its ``profile``, already sorted by the sorter."""
         info = self._prefix(profile, self.tau_max)
         position = len(self.graphs)
+        labels = (g.vertex_label_multiset(), g.edge_label_multiset())
         self.graphs.append(g)
         self._profiles.append(profile)
-        self._labels.append((g.vertex_label_multiset(), g.edge_label_multiset()))
+        self._labels.append(labels)
         self._ids.add(g.graph_id)
         self._prefix_lengths.append(info.length)
-        self._store = None
+        if self._store is not None:
+            self._store.append(profile, labels, info.length)
         self._plan_stale = self._auto
         if info.prunable:
             for key in profile.prefix_keys(info.length):

@@ -29,7 +29,7 @@ from typing import AbstractSet, Callable, Optional, Sequence
 
 from repro.grams.labels import gamma, local_label_lower_bound
 from repro.grams.mismatch import compare_qgrams
-from repro.grams.qgrams import extract_qgrams
+from repro.grams.qgrams import WalkTables, extract_induced_qgrams
 from repro.graph.graph import Graph, Vertex
 
 __all__ = [
@@ -79,21 +79,41 @@ def label_heuristic(
 
 
 def subgraph_entry(g: Graph, rest: frozenset, q: int, cache: dict) -> tuple:
-    """Memoized ``(subgraph, q-gram profile, label multisets)`` of a remainder.
+    """Memoized ``(graph, q-gram profile, label multisets)`` of a remainder.
+
+    The profile and the label multisets are those of the subgraph of
+    ``g`` induced by ``rest``.  The subgraph is never built: the walk
+    runs over ``g``'s :class:`~repro.grams.qgrams.WalkTables`, resolved
+    once per graph and memoized under ``id(g)`` beside the remainder
+    entries (holding ``g`` pins the id), restricted to ``rest``.  The
+    graph returned is ``g`` itself: it carries the remainder's labels
+    and canonical edges, all the local label bound reads from it.
 
     Keyed by ``(id(g), rest)`` so one cache may serve many graphs — the
     compiled backend shares a single cache across every candidate pair
     of a join, while :func:`make_local_label_heuristic` keeps a
     per-pair cache.  Both produce identical values: the entry is a pure
-    function of the induced subgraph.
+    function of the graph and the remainder.
     """
     key = (id(g), rest)
     entry = cache.get(key)
     if entry is None:
-        sub = g.subgraph(rest)
-        profile = extract_qgrams(sub, q)
-        labels = (sub.vertex_label_multiset(), sub.edge_label_multiset())
-        entry = (sub, profile, labels)
+        tables = cache.get(id(g))
+        if tables is None:
+            tables = cache[id(g)] = WalkTables(g)
+        profile = extract_induced_qgrams(tables, q, rest)
+        directed = g.is_directed
+        position = tables.position
+        labels = (
+            Counter(tables.vlabel[v] for v in rest),
+            Counter(
+                label
+                for v in rest
+                for u, u_position, label, _ in tables.adjacency[v]
+                if u in rest and (directed or position[v] < u_position)
+            ),
+        )
+        entry = (g, profile, labels)
         cache[key] = entry
     return entry
 
@@ -111,8 +131,8 @@ def local_label_terms(
 
     Both-direction local label filtering bounds evaluated on the
     *induced* remaining subgraphs (see the module docstring for the
-    admissibility argument).  ``cache`` memoizes subgraph extraction via
-    :func:`subgraph_entry`; the comparison itself runs per call.
+    admissibility argument).  ``cache`` memoizes the remainders' profiles
+    via :func:`subgraph_entry`; the comparison itself runs per call.
     """
     r_sub, p_r, r_labels = subgraph_entry(r, r_rest, q, cache)
     s_sub, p_s, s_labels = subgraph_entry(s, s_rest, q, cache)
@@ -139,12 +159,12 @@ def make_local_label_heuristic(
     The returned heuristic memoizes subgraph profiles by remaining
     vertex set: the fixed mapping order makes every ``r``-side remainder
     depend only on the search depth (n distinct sets per A* run), and
-    ``s``-side remainders recur across branches, so the dominant cost —
-    q-gram extraction — is paid once per distinct remainder.
+    ``s``-side remainders recur across branches, so each distinct
+    remainder is walked once, over label tables resolved once per graph.
 
     ``max_remaining`` gates the expensive local-label term to states
     whose remainder has at most that many vertices (where both the bulk
-    of the search states live and extraction is cheap); larger remainders
+    of the search states live and the walk is cheap); larger remainders
     fall back to the ``Γ`` bound.  The gate trades heuristic strength
     for per-state cost without affecting admissibility — pass ``None``
     to evaluate Algorithm 8 at every state, as the paper's C++

@@ -28,8 +28,17 @@ reduces to ``Σ min(count_row, count_r)`` over matched values.
   rows whose signature ids come from the store's vocabulary (the
   precondition for the batch count kernel).
 
-The store is immutable after construction and safe to ship to worker
-processes (plain ndarrays and label dicts).  A graph outside the store
+The store is append-only.  :func:`build_columnar_store` lays out a
+whole collection; :meth:`ColumnarStore.append` adds one graph as the
+last row.  Both lay a row out through one encoder and grow the label
+interners in the same first-seen order, so a store grown by appends
+equals a build over the same profiles, column for column.  Appends
+write into backing buffers that grow geometrically, and every column
+attribute is an exact-length view of its buffer: an append costs
+amortised ``O(row)``, and views handed out before it stay valid.
+Rows are never changed or removed.  The store is safe to ship to
+worker processes (plain ndarrays and label dicts; a pickle carries the
+exact-length columns, not the spare capacity).  A graph outside the store
 (an index query, the outer side of a future out-of-core shard) enters
 the kernels through :meth:`ColumnarStore.external_row`, which maps
 unseen labels to unique *negative* ids — never colliding with the
@@ -43,7 +52,8 @@ engine's scalar path never touches this module).
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.grams.qgrams import QGramProfile
 
@@ -130,18 +140,15 @@ def _compress(counts: Counter) -> Tuple["np.ndarray", "np.ndarray"]:
 
 
 def _csr(
-    rows: List[Tuple["np.ndarray", "np.ndarray"]],
+    values_rows: Sequence["np.ndarray"], counts_rows: Sequence["np.ndarray"]
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Stack per-row (values, counts) pairs into CSR columns."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([values.shape[0] for values, _ in rows], out=offsets[1:])
-    if rows:
-        flat_values = np.concatenate([values for values, _ in rows])
-        flat_counts = np.concatenate([cnts for _, cnts in rows])
-    else:
-        flat_values = np.zeros(0, dtype=np.int64)
-        flat_counts = np.zeros(0, dtype=np.int64)
-    return offsets, flat_values, flat_counts
+    """Stack per-row (values, counts) arrays into CSR columns."""
+    offsets = np.zeros(len(values_rows) + 1, dtype=np.int64)
+    np.cumsum([values.shape[0] for values in values_rows], out=offsets[1:])
+    if values_rows:
+        return offsets, np.concatenate(values_rows), np.concatenate(counts_rows)
+    empty = np.zeros(0, dtype=np.int64)
+    return offsets, empty, empty.copy()
 
 
 def _combined_labels(
@@ -165,73 +172,118 @@ def _combined_labels(
     return combined
 
 
+#: Every column of a store.  A CSR offsets column has ``len + 1``
+#: entries, a flat values/counts column ``offsets[-1]``, every other
+#: column one entry per row.
+_COLUMNS = (
+    "sig_offsets",
+    "sig_values",
+    "sig_counts",
+    "lab_offsets",
+    "lab_values",
+    "lab_counts",
+    "num_vertices",
+    "num_edges",
+    "d_path",
+    "sig_size",
+    "vlab_len",
+    "elab_len",
+    "prefix_length",
+    "mergeable",
+)
+
+#: The one-entry-per-row columns, in the order :func:`_encode_row`
+#: returns their values.
+_SCALARS = _COLUMNS[6:]
+
+#: Capacity factor by which :meth:`ColumnarStore.append` grows a full
+#: column buffer.
+_GROWTH = 2
+
+
+def _encode_row(
+    profile: QGramProfile,
+    labels: Tuple,
+    prefix_length: int,
+    source: Optional[object],
+    vlabel_ids: Dict[object, int],
+    elabel_ids: Dict[object, int],
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", Tuple]:
+    """One graph's store row — the only definition of a row's layout.
+
+    Returns the compressed signature row, the compressed combined
+    even/odd label row (growing the interners in first-seen order) and
+    the scalar values in :data:`_SCALARS` order:
+    ``(sig_values, sig_counts, lab_values, lab_counts, scalars)``.  The
+    signature segment is empty and ``mergeable`` false unless the
+    profile's signature was interned by ``source``.
+    """
+    mergeable = (
+        profile.signature is not None
+        and source is not None
+        and profile.signature_source is source
+    )
+    sig_values, sig_counts = _compress(
+        Counter(profile.signature) if mergeable else Counter()
+    )
+    lab_values, lab_counts = _compress(
+        _combined_labels(labels, vlabel_ids, elabel_ids)
+    )
+    g = profile.graph
+    scalars = (
+        g.num_vertices,
+        g.num_edges,
+        profile.d_path,
+        profile.size,
+        sum(labels[0].values()),
+        sum(labels[1].values()),
+        prefix_length,
+        mergeable,
+    )
+    return sig_values, sig_counts, lab_values, lab_counts, scalars
+
+
 class ColumnarStore:
     """The whole collection as contiguous parallel numpy columns.
 
-    Built by :func:`build_columnar_store`; immutable afterwards.  Row
-    order is the profile order the store was built from, so join/search
+    Built by :func:`build_columnar_store` and grown one row at a time by
+    :meth:`append`; existing rows never change.  Row order is the
+    profile order the store was built and appended in, so join/search
     drivers index it by the same positions they use for ``profiles``
     (plus a caller-side base offset for concatenated collections).
+    Each column attribute is an exact-length view of a backing buffer
+    with spare capacity for appends.
     """
 
-    __slots__ = (
-        "source",
-        "sig_offsets",
-        "sig_values",
-        "sig_counts",
-        "lab_offsets",
-        "lab_values",
-        "lab_counts",
-        "num_vertices",
-        "num_edges",
-        "d_path",
-        "sig_size",
-        "vlab_len",
-        "elab_len",
-        "prefix_length",
-        "mergeable",
-        "vlabel_ids",
-        "elabel_ids",
-    )
+    __slots__ = ("source",) + _COLUMNS + ("vlabel_ids", "elabel_ids", "_buffers")
 
     def __init__(
         self,
         source: Optional[object],
-        sig_offsets: "np.ndarray",
-        sig_values: "np.ndarray",
-        sig_counts: "np.ndarray",
-        lab_offsets: "np.ndarray",
-        lab_values: "np.ndarray",
-        lab_counts: "np.ndarray",
-        num_vertices: "np.ndarray",
-        num_edges: "np.ndarray",
-        d_path: "np.ndarray",
-        sig_size: "np.ndarray",
-        vlab_len: "np.ndarray",
-        elab_len: "np.ndarray",
-        prefix_length: "np.ndarray",
-        mergeable: "np.ndarray",
+        columns: Dict[str, "np.ndarray"],
         vlabel_ids: Dict[object, int],
         elabel_ids: Dict[object, int],
     ) -> None:
         """Bind the finished columns (see :func:`build_columnar_store`)."""
         self.source = source
-        self.sig_offsets = sig_offsets
-        self.sig_values = sig_values
-        self.sig_counts = sig_counts
-        self.lab_offsets = lab_offsets
-        self.lab_values = lab_values
-        self.lab_counts = lab_counts
-        self.num_vertices = num_vertices
-        self.num_edges = num_edges
-        self.d_path = d_path
-        self.sig_size = sig_size
-        self.vlab_len = vlab_len
-        self.elab_len = elab_len
-        self.prefix_length = prefix_length
-        self.mergeable = mergeable
+        for name in _COLUMNS:
+            setattr(self, name, columns[name])
         self.vlabel_ids = vlabel_ids
         self.elabel_ids = elabel_ids
+        # Backing buffer of every column grown by an append; until its
+        # first growth, a column is its own (full) buffer.
+        self._buffers: Dict[str, "np.ndarray"] = {}
+
+    def __getstate__(self) -> Tuple:
+        return (
+            self.source,
+            {name: getattr(self, name) for name in _COLUMNS},
+            self.vlabel_ids,
+            self.elabel_ids,
+        )
+
+    def __setstate__(self, state: Tuple) -> None:
+        ColumnarStore.__init__(self, *state)
 
     def __len__(self) -> int:
         """Number of rows (graphs) in the store."""
@@ -310,6 +362,55 @@ class ColumnarStore:
             mergeable=mergeable,
         )
 
+    def append(
+        self, profile: QGramProfile, labels: Tuple, prefix_length: int = 0
+    ) -> None:
+        """Add ``profile``'s graph as the store's last row, in place.
+
+        ``labels`` is the graph's ``(vertex, edge)`` label-multiset pair
+        and ``prefix_length`` its chosen prefix length, as for
+        :func:`build_columnar_store`.  The row goes through the same
+        encoder as a build and extends the label interners in the same
+        first-seen order, so the grown store equals a build over the
+        same profiles.  A store without a signature source adopts the
+        first signed profile's, as a build would: every earlier row is
+        unsigned, hence unmergeable under any source.
+        """
+        if self.source is None and profile.signature is not None:
+            self.source = profile.signature_source
+        sig_values, sig_counts, lab_values, lab_counts, scalars = _encode_row(
+            profile, labels, prefix_length, self.source,
+            self.vlabel_ids, self.elabel_ids,
+        )
+        self._extend("sig_offsets", (self.sig_offsets[-1] + len(sig_values),))
+        self._extend("sig_values", sig_values)
+        self._extend("sig_counts", sig_counts)
+        self._extend("lab_offsets", (self.lab_offsets[-1] + len(lab_values),))
+        self._extend("lab_values", lab_values)
+        self._extend("lab_counts", lab_counts)
+        for name, value in zip(_SCALARS, scalars):
+            self._extend(name, (value,))
+
+    def _extend(self, name: str, values: Sequence) -> None:
+        """Append ``values`` to column ``name``, growing its buffer.
+
+        A full buffer is replaced by one :data:`_GROWTH` times larger;
+        the column attribute becomes the exact-length view of the
+        buffer's filled part.
+        """
+        column = getattr(self, name)
+        used = column.shape[0]
+        need = used + len(values)
+        buffer = self._buffers.get(name, column)
+        if buffer.shape[0] < need:
+            grown = np.empty(
+                max(need, _GROWTH * buffer.shape[0]), dtype=column.dtype
+            )
+            grown[:used] = column
+            buffer = self._buffers[name] = grown
+        buffer[used:need] = values
+        setattr(self, name, buffer[:need])
+
 
 def build_columnar_store(
     profiles: Sequence[QGramProfile],
@@ -330,59 +431,23 @@ def build_columnar_store(
     source = next(
         (p.signature_source for p in profiles if p.signature is not None), None
     )
-    n = len(profiles)
-    sig_rows: List[Tuple["np.ndarray", "np.ndarray"]] = []
-    lab_rows: List[Tuple["np.ndarray", "np.ndarray"]] = []
     vlabel_ids: Dict[object, int] = {}
     elabel_ids: Dict[object, int] = {}
-    num_vertices = np.zeros(n, dtype=np.int64)
-    num_edges = np.zeros(n, dtype=np.int64)
-    d_path = np.zeros(n, dtype=np.int64)
-    sig_size = np.zeros(n, dtype=np.int64)
-    vlab_len = np.zeros(n, dtype=np.int64)
-    elab_len = np.zeros(n, dtype=np.int64)
-    prefix_length = np.zeros(n, dtype=np.int64)
-    mergeable = np.zeros(n, dtype=bool)
-    for i, profile in enumerate(profiles):
-        g = profile.graph
-        num_vertices[i] = g.num_vertices
-        num_edges[i] = g.num_edges
-        d_path[i] = profile.d_path
-        sig_size[i] = profile.size
-        row_mergeable = (
-            profile.signature is not None
-            and source is not None
-            and profile.signature_source is source
+    rows = [
+        _encode_row(profile, pair, length, source, vlabel_ids, elabel_ids)
+        for profile, pair, length in zip(
+            profiles,
+            labels,
+            prefix_lengths if prefix_lengths is not None else repeat(0),
         )
-        mergeable[i] = row_mergeable
-        sig_rows.append(
-            _compress(Counter(profile.signature) if row_mergeable else Counter())
-        )
-        vlab_len[i] = sum(labels[i][0].values())
-        elab_len[i] = sum(labels[i][1].values())
-        lab_rows.append(
-            _compress(_combined_labels(labels[i], vlabel_ids, elabel_ids))
-        )
-    if prefix_lengths is not None:
-        prefix_length[:] = np.asarray(prefix_lengths, dtype=np.int64)
-    sig_offsets, sig_values, sig_counts = _csr(sig_rows)
-    lab_offsets, lab_values, lab_counts = _csr(lab_rows)
-    return ColumnarStore(
-        source=source,
-        sig_offsets=sig_offsets,
-        sig_values=sig_values,
-        sig_counts=sig_counts,
-        lab_offsets=lab_offsets,
-        lab_values=lab_values,
-        lab_counts=lab_counts,
-        num_vertices=num_vertices,
-        num_edges=num_edges,
-        d_path=d_path,
-        sig_size=sig_size,
-        vlab_len=vlab_len,
-        elab_len=elab_len,
-        prefix_length=prefix_length,
-        mergeable=mergeable,
-        vlabel_ids=vlabel_ids,
-        elabel_ids=elabel_ids,
+    ]
+    csr = _csr([row[0] for row in rows], [row[1] for row in rows]) + _csr(
+        [row[2] for row in rows], [row[3] for row in rows]
     )
+    columns: Dict[str, "np.ndarray"] = dict(zip(_COLUMNS, csr))
+    scalar_columns = zip(*(row[4] for row in rows)) if rows else repeat(())
+    for name, values in zip(_SCALARS, scalar_columns):
+        columns[name] = np.asarray(
+            values, dtype=bool if name == "mergeable" else np.int64
+        )
+    return ColumnarStore(source, columns, vlabel_ids, elabel_ids)

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
@@ -47,6 +48,8 @@ if TYPE_CHECKING:
 __all__ = [
     "QGram",
     "QGramProfile",
+    "WalkTables",
+    "extract_induced_qgrams",
     "extract_profiles",
     "extract_qgrams",
     "qgram_key",
@@ -293,37 +296,63 @@ class QGramProfile:
         return self.keys[:length]
 
 
+class WalkTables:
+    """What the per-graph walk reads of a graph, resolved once.
+
+    The vertex order, each vertex's position, label and label ``repr``,
+    and per vertex the ``(neighbour, position, edge label, repr)``
+    tuples of its (out-)neighbours, so the walk never calls ``repr()``
+    or touches the graph's label maps.  :func:`extract_qgrams` builds
+    them per call; the improved A* heuristic keeps them per graph and
+    walks many induced subgraphs over them
+    (:func:`extract_induced_qgrams`).
+    """
+
+    __slots__ = ("graph", "order", "position", "vlabel", "vrepr", "adjacency")
+
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self.order = list(g.vertices())
+        self.position = {v: i for i, v in enumerate(self.order)}
+        self.vlabel = {v: g.vertex_label(v) for v in self.order}
+        self.vrepr = {v: repr(label) for v, label in self.vlabel.items()}
+        position = self.position
+        self.adjacency = {
+            v: [
+                (u, position[u], label, repr(label))
+                for u, label in g.neighbor_items(v)
+            ]
+            for v in self.order
+        }
+
+
 def _walk_grams(
-    g: Graph, q: int, vertex_counts: Dict[Vertex, int]
+    tables: WalkTables,
+    q: int,
+    starts: Sequence[Vertex],
+    adjacency: Dict[Vertex, List[Tuple[Vertex, int, object, str]]],
+    vertex_counts: Dict[Vertex, int],
 ) -> Tuple[List[Key], List[Tuple[Vertex, ...]]]:
     """Fused path walk + key construction (the per-graph extractor).
 
-    Carries the interleaved label sequence (and its repr view, for the
-    canonical-orientation comparison) along the DFS so shared path
-    prefixes never re-fetch labels.  Emits the parallel ``keys`` /
-    ``paths`` lists of :class:`QGramProfile` in DFS enumeration order.
-    This walk is the reference for the collection walk of
-    :func:`extract_profiles` and the extractor for single graphs (index
-    queries and inserts, the improved A* heuristic's subgraphs).
+    Walks the paths of ``q`` edges from every vertex of ``starts`` over
+    ``adjacency`` (``tables.adjacency``, or its restriction to an
+    induced subgraph), carrying the interleaved label sequence (and its
+    repr view, for the canonical-orientation comparison) along the DFS
+    so shared path prefixes never re-fetch labels.  Emits the parallel
+    ``keys`` / ``paths`` lists of :class:`QGramProfile` in DFS
+    enumeration order.  This walk is the reference for the collection
+    walk of :func:`extract_profiles` and the extractor for single graphs
+    (index queries and inserts, the improved A* heuristic's remainders).
     """
     keys: List[Key] = []
     paths: List[Tuple[Vertex, ...]] = []
     append_key = keys.append
     append_path = paths.append
-    directed = g.is_directed
-    position = {v: i for i, v in enumerate(g.vertices())}
-    # Per-vertex (label, repr) and per-neighbor (u, position, label, repr)
-    # are resolved once up front, so the walk never calls repr() or
-    # touches the graph's label maps.
-    vlabel = {v: g.vertex_label(v) for v in g.vertices()}
-    vrepr = {v: repr(label) for v, label in vlabel.items()}
-    adjacency = {
-        v: [
-            (u, position[u], label, repr(label))
-            for u, label in g.neighbor_items(v)
-        ]
-        for v in g.vertices()
-    }
+    directed = tables.graph.is_directed
+    position = tables.position
+    vlabel = tables.vlabel
+    vrepr = tables.vrepr
 
     path: List[Vertex] = []
     labels: List[object] = []
@@ -371,9 +400,30 @@ def _walk_grams(
         labels.pop()
         reprs.pop()
 
-    for start in g.vertices():
+    for start in starts:
         extend(start, 1)
     return keys, paths
+
+
+def _walk_profile(
+    tables: WalkTables,
+    q: int,
+    starts: Sequence[Vertex],
+    adjacency: Dict[Vertex, List[Tuple[Vertex, int, object, str]]],
+) -> QGramProfile:
+    """The profile of the subgraph induced by ``starts``, walked over
+    ``adjacency`` (the whole graph's when ``starts`` is ``tables.order``)."""
+    vertex_counts: Dict[Vertex, int] = dict.fromkeys(starts, 0)
+    if q == 0:
+        vlabel = tables.vlabel
+        keys: List[Key] = [(vlabel[v],) for v in starts]
+        paths: List[Tuple[Vertex, ...]] = [(v,) for v in starts]
+        for v in vertex_counts:
+            vertex_counts[v] = 1
+    else:
+        keys, paths = _walk_grams(tables, q, starts, adjacency, vertex_counts)
+    d_path = max(vertex_counts.values(), default=0)
+    return QGramProfile(tables.graph, q, keys, paths, vertex_counts, d_path)
 
 
 def extract_qgrams(g: Graph, q: int) -> QGramProfile:
@@ -389,16 +439,28 @@ def extract_qgrams(g: Graph, q: int) -> QGramProfile:
     """
     if q < 0:
         raise ParameterError(f"q must be >= 0, got {q}")
-    vertex_counts: Dict[Vertex, int] = {v: 0 for v in g.vertices()}
-    if q == 0:
-        keys: List[Key] = [(g.vertex_label(v),) for v in g.vertices()]
-        paths: List[Tuple[Vertex, ...]] = [(v,) for v in g.vertices()]
-        for v in vertex_counts:
-            vertex_counts[v] = 1
-    else:
-        keys, paths = _walk_grams(g, q, vertex_counts)
-    d_path = max(vertex_counts.values(), default=0)
-    return QGramProfile(g, q, keys, paths, vertex_counts, d_path)
+    tables = WalkTables(g)
+    return _walk_profile(tables, q, tables.order, tables.adjacency)
+
+
+def extract_induced_qgrams(
+    tables: WalkTables, q: int, within: AbstractSet[Vertex]
+) -> QGramProfile:
+    """The profile of the subgraph induced by ``within``, over ``tables``.
+
+    Equal to ``extract_qgrams(g.subgraph(within), q)`` up to instance
+    order and path orientation, without building the subgraph or
+    resolving its labels again.  The profile's ``graph`` is
+    ``tables.graph`` itself (the induced subgraph has its labels and
+    canonical edges); ``vertex_counts`` covers ``within`` only.
+    """
+    starts = [v for v in tables.order if v in within]
+    adjacency = tables.adjacency
+    restricted = {
+        v: [entry for entry in adjacency[v] if entry[0] in within]
+        for v in starts
+    }
+    return _walk_profile(tables, q, starts, restricted)
 
 
 def extract_profiles(

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, IO, Optional, Tuple
 
 from repro.exceptions import CheckpointError, ParameterError
@@ -87,6 +87,9 @@ def replace_file(path: str, data: str) -> None:
 _HEADER_KIND = "gsimjoin-journal"
 _VERSION = 1
 
+#: ``json.dumps(obj, sort_keys=True)`` without building an encoder per call.
+_encode_record = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass(frozen=True)
 class VerificationRecord:
@@ -122,8 +125,27 @@ class VerificationRecord:
         return self.pruned_by is None or self.pruned_by == "ged"
 
     def to_json(self) -> str:
-        """One compact JSON line (without the newline)."""
-        return json.dumps(asdict(self), sort_keys=True)
+        """One compact JSON line (without the newline).
+
+        Spells the fields out rather than calling ``dataclasses.asdict``,
+        which deep-copies every value on each of a join's many appends;
+        the line is the same, keys sorted.
+        """
+        return _encode_record(
+            {
+                "i": self.i,
+                "j": self.j,
+                "is_result": self.is_result,
+                "pruned_by": self.pruned_by,
+                "ged": self.ged,
+                "expansions": self.expansions,
+                "ged_seconds": self.ged_seconds,
+                "undecided": self.undecided,
+                "lower": self.lower,
+                "upper": self.upper,
+                "backend": self.backend,
+            }
+        )
 
     @classmethod
     def from_json(cls, line: str) -> "VerificationRecord":

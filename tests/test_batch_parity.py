@@ -18,6 +18,7 @@ resolution/error tests at the bottom run on the no-numpy CI job too.
 """
 
 import dataclasses
+import pickle
 import random
 from collections import Counter
 
@@ -34,6 +35,7 @@ from repro.engine.batch import MIN_BATCH_BLOCK as REAL_MIN_BATCH_BLOCK
 from repro.engine.executor import Executor
 from repro.exceptions import ParameterError
 from repro.graph.generators import random_labeled_graph
+from repro.graph.operations import perturb
 from repro.grams.columnar import HAVE_NUMPY
 from repro.runtime.budget import VerificationBudget
 
@@ -72,6 +74,34 @@ def with_batch(options, batch):
 def stage_rows(stats):
     """Per-stage rows reduced to their representation-independent core."""
     return [(r.name, r.role, r.input, r.survivors) for r in stats.stages]
+
+
+def assert_store_matches_rebuild(index):
+    """``index``'s live columnar store equals a build over its rows."""
+    from repro.grams.columnar import build_columnar_store
+
+    rebuilt = build_columnar_store(
+        index._profiles, index._labels, index._prefix_lengths
+    )
+    assert len(rebuilt) == len(index)
+    assert_same_store(index._store, rebuilt)
+
+
+def assert_same_store(store, rebuilt):
+    """Column for column (dtype, length, values), the same label
+    interners in the same order, the same signature ``source`` object
+    and length."""
+    from repro.grams.columnar import _COLUMNS
+
+    assert len(store) == len(rebuilt)
+    assert store.source is rebuilt.source
+    for name in _COLUMNS:
+        got, want = getattr(store, name), getattr(rebuilt, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert (got == want).all(), name
+    assert list(store.vlabel_ids.items()) == list(rebuilt.vlabel_ids.items())
+    assert list(store.elabel_ids.items()) == list(rebuilt.elabel_ids.items())
 
 
 def assert_full_parity(batched, scalar):
@@ -398,6 +428,83 @@ class TestIndexParity:
         assert batched_matches == scalar_matches
         assert_stat_parity(batched_stats, scalar_stats)
         assert stage_rows(batched_stats) == stage_rows(scalar_stats)
+
+    def test_adds_after_first_query_append_to_the_store(self):
+        """Writes to a live store: every add appends one row.
+
+        The index answers a query first, so its store exists before the
+        adds.  The added graphs are near-duplicates of indexed graphs
+        drawn with vertex and edge labels the collection never used, so
+        the appends grow both label interners and carry overflow q-gram
+        ids.  After every add the store must equal a rebuild, and
+        batched answers and stage rows must equal the scalar path's.
+        """
+        from repro.grams.columnar import build_columnar_store
+
+        graphs = labeled_collection(16, seed=83, num_labels=2)
+        vertex_labels = [f"L{i}" for i in range(5)]
+        edge_labels = ["-", "=", "#"]
+        rng = random.Random(89)
+        indexes, stats = {}, {}
+        for batch in (True, False):
+            options = with_batch(GSimJoinOptions(), batch)
+            indexes[batch] = GSimIndex(graphs, tau_max=3, options=options)
+            stats[batch] = JoinStatistics()
+        index = indexes[True]
+        assert index.query(graphs[0], 3) == indexes[False].query(graphs[0], 3)
+        interned = (len(index._store.vlabel_ids), len(index._store.elabel_ids))
+        matches = 0
+        for step in range(10):
+            added = perturb(
+                graphs[step], 1 + step % 2, rng, vertex_labels, edge_labels,
+                graph_id=f"a{step}",
+            )
+            if step % 2:
+                u, v, _ = next(added.edges())
+                added.set_edge_label(u, v, "#")
+            for batch in (True, False):
+                indexes[batch].add(added)
+            assert_store_matches_rebuild(index)
+            for g in (added, graphs[step + 1]):
+                for tau in (1, 3):
+                    answer = index.query(g, tau, stats=stats[True])
+                    assert answer == indexes[False].query(
+                        g, tau, stats=stats[False]
+                    )
+                    matches += len(answer)
+            assert stage_rows(stats[True]) == stage_rows(stats[False])
+        assert_stat_parity(stats[True], stats[False])
+        assert len(index._store.vlabel_ids) > interned[0]
+        assert len(index._store.elabel_ids) > interned[1]
+        assert not all(p.signature_total for p in index._profiles)
+        assert matches > 0
+        # A pickle carries the exact-length columns, not spare capacity.
+        rebuilt = build_columnar_store(
+            index._profiles, index._labels, index._prefix_lengths
+        )
+        assert pickle.dumps(index._store) == pickle.dumps(rebuilt)
+        shipped, rebuilt = pickle.loads(pickle.dumps((index._store, rebuilt)))
+        assert_same_store(shipped, rebuilt)
+
+    def test_append_adopts_the_first_signature_source(self):
+        """A store of unsigned rows takes the source of the first signed
+        row appended to it, as a build over all the rows would."""
+        from repro.grams.columnar import build_columnar_store
+        from repro.grams.qgrams import extract_profiles, extract_qgrams
+
+        graphs = labeled_collection(6, seed=97)
+        signed, _vocabulary = extract_profiles(graphs, 2)
+        profiles = [extract_qgrams(g, 2) for g in graphs[:3]] + signed[3:]
+        labels = [
+            (g.vertex_label_multiset(), g.edge_label_multiset())
+            for g in graphs
+        ]
+        store = build_columnar_store(profiles[:3], labels[:3])
+        assert store.source is None
+        for profile, pair in zip(profiles[3:], labels[3:]):
+            store.append(profile, pair)
+        assert_same_store(store, build_columnar_store(profiles, labels))
+        assert store.mergeable.tolist() == [False] * 3 + [True] * 3
 
     def test_external_query_with_unseen_labels(self):
         graphs = labeled_collection(20, seed=53, num_labels=2)

@@ -7,8 +7,10 @@ exactly the result of an uninterrupted run, on both the interned and
 the object-key pipeline.
 """
 
+import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -179,6 +181,29 @@ class TestResumeGuards:
         assert_same_result(second, first)
         assert second.stats.replayed_pairs == first.stats.cand1
         assert first.stats.replayed_pairs == 0
+
+
+class TestVerificationRecordJson:
+    """Record lines are ``json.dumps(asdict(record), sort_keys=True)``."""
+
+    RECORDS = [
+        VerificationRecord(i=3, j=1, is_result=False),
+        VerificationRecord(i=0, j=0, is_result=False, pruned_by="count"),
+        VerificationRecord(
+            i=7, j=2, is_result=True, pruned_by="ged", ged=2,
+            expansions=41, ged_seconds=0.0125, undecided=True, lower=1,
+            upper=3, backend="compiled",
+        ),
+        VerificationRecord(i=5, j=4, is_result=True, ged=0, backend="memo"),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_line_matches_asdict_serialisation(self, record):
+        assert record.to_json() == json.dumps(asdict(record), sort_keys=True)
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_line_round_trips(self, record):
+        assert VerificationRecord.from_json(record.to_json()) == record
 
 
 class TestJournalDurability:

@@ -1,6 +1,10 @@
 """Direct tests for the A* heuristics and mapping orders."""
 
+import random
+from collections import Counter
+
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import compare_qgrams, extract_qgrams
 from repro.datasets import figure1_graphs
@@ -8,15 +12,23 @@ from repro.ged import graph_edit_distance
 from repro.ged.heuristics import (
     label_heuristic,
     make_local_label_heuristic,
+    subgraph_entry,
     zero_heuristic,
 )
+from repro.graph.generators import random_labeled_graph
 from repro.ged.vertex_order import (
     input_vertex_order,
     mismatch_vertex_order,
     spanning_tree_vertex_order,
 )
 
-from .conftest import build_graph, graph_pairs_within, path_graph
+from .conftest import (
+    EDGE_LABELS,
+    VERTEX_LABELS,
+    build_graph,
+    graph_pairs_within,
+    path_graph,
+)
 
 
 def full_rest(r, s):
@@ -91,6 +103,58 @@ class TestLocalLabelHeuristic:
         first = h(r, s, r_rest, s_rest)
         second = h(r, s, r_rest, s_rest)  # cache hit path
         assert first == second
+
+
+@st.composite
+def graphs_with_remainders(draw):
+    """A random graph (maybe directed), a q, and two vertex remainders."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=7))
+    max_edges = n * (n - 1) // (1 if directed else 2)
+    m = draw(st.integers(min_value=0, max_value=max_edges))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    g = random_labeled_graph(
+        rng, n, m, VERTEX_LABELS, EDGE_LABELS, directed=directed
+    )
+    vertices = list(g.vertices())
+    rests = [
+        frozenset(draw(st.sets(st.sampled_from(vertices), min_size=1)))
+        for _ in range(2)
+    ]
+    return g, draw(st.integers(min_value=0, max_value=4)), rests
+
+
+def _instances(profile):
+    """Key/path instances, undirected paths read from their smaller end."""
+    directed = profile.graph.is_directed
+    return Counter(
+        (key, path if directed else min(path, path[::-1]))
+        for key, path in zip(profile.keys, profile.paths)
+    )
+
+
+class TestSubgraphEntry:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_remainders())
+    def test_matches_a_walk_of_the_induced_subgraph(self, case):
+        """The entry equals ``extract_qgrams(g.subgraph(rest))``:
+        key multiset, paths, vertex counts, ``D_path`` and both label
+        multisets (one memo serving both remainders)."""
+        g, q, rests = case
+        cache = {}
+        for rest in rests:
+            graph, profile, labels = subgraph_entry(g, rest, q, cache)
+            sub = g.subgraph(rest)
+            expected = extract_qgrams(sub, q)
+            assert graph is g
+            assert profile.key_counts == expected.key_counts
+            assert _instances(profile) == _instances(expected)
+            assert profile.vertex_counts == expected.vertex_counts
+            assert profile.d_path == expected.d_path
+            assert labels == (
+                sub.vertex_label_multiset(), sub.edge_label_multiset()
+            )
+            assert subgraph_entry(g, rest, q, cache) is cache[(id(g), rest)]
 
 
 class TestVertexOrders:

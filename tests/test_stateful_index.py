@@ -18,6 +18,8 @@ from repro.ged import ged_within
 from repro.graph.generators import random_labeled_graph
 from repro.graph.operations import perturb
 
+from .test_batch_parity import assert_store_matches_rebuild
+
 VERTEX_LABELS = ["A", "B", "C"]
 EDGE_LABELS = ["x", "y"]
 TAU_MAX = 2
@@ -85,6 +87,13 @@ class IndexMachine(RuleBasedStateMachine):
     def sizes_agree(self):
         if hasattr(self, "model"):
             assert len(self.index) == len(self.model)
+
+    @invariant()
+    def store_matches_rebuild(self):
+        # The store exists once a query ran (batch mode, non-empty
+        # index); every later add appends to it instead of rebuilding.
+        if hasattr(self, "index") and self.index._store is not None:
+            assert_store_matches_rebuild(self.index)
 
 
 IndexMachine.TestCase.settings = settings(
