@@ -1,8 +1,7 @@
 """Hot-path allocation rule.
 
 The engine's driver loops (``engine.executor``, ``engine.stages``),
-the vectorized batch kernels ``engine.batch``, the adaptive planner's
-per-pair observation loop (``engine.planner``), their thin ``core``
+the vectorized batch kernels ``engine.batch``, their thin ``core``
 wrappers (``core.join``, ``core.search``), ``ged.astar``, the compiled
 verifier ``ged.compiled``, the interned filter kernels ``grams.vocab``
 / ``grams.mismatch``, the columnar store builder ``grams.columnar``,
@@ -40,7 +39,6 @@ TARGET_MODULES = {
     "repro.core.search",
     "repro.engine.batch",
     "repro.engine.executor",
-    "repro.engine.planner",
     "repro.engine.sharded",
     "repro.engine.stages",
     "repro.ged.astar",
@@ -65,7 +63,7 @@ class HotPathAllocationRule(Rule):
     description = (
         "flag list()/dict() copies and extract_qgrams calls inside loops "
         "in core.join/core.search/engine.batch/engine.executor/"
-        "engine.planner/engine.sharded/engine.stages/ged.astar/"
+        "engine.sharded/engine.stages/ged.astar/"
         "ged.compiled/grams.columnar/grams.mismatch/grams.pathwalk/"
         "grams.vocab/runtime.sharded"
     )

@@ -128,13 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a crash or kill",
     )
     join.add_argument(
-        "--auto-plan",
-        action="store_true",
-        help="let the adaptive cost-based planner pick and re-tune the "
-        "filter cascade order (gsimjoin only; same result pairs, see "
-        "docs/PERFORMANCE.md)",
-    )
-    join.add_argument(
         "--explain-plan",
         nargs="?",
         const="table",
@@ -142,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="print the staged execution plan and the per-stage "
         "survivor/timing table to stderr (gsimjoin only); "
-        "'json' emits a machine-readable report with estimated vs "
-        "observed selectivity/cost and re-plan events instead",
+        "'json' emits the per-stage rows, verify backends and memo "
+        "hits as a machine-readable report instead",
     )
     join.add_argument("--quiet", action="store_true", help="print only the pairs")
     join.add_argument(
@@ -227,8 +220,6 @@ def _cmd_join_sharded(args, budget) -> int:
     options = getattr(GSimJoinOptions, args.variant)(q=args.q)
     if args.verifier is not None:
         options = dataclasses.replace(options, verifier=args.verifier)
-    if args.auto_plan:
-        options = dataclasses.replace(options, plan="auto")
     result = gsim_join_sharded(
         args.collection,
         args.tau,
@@ -252,11 +243,10 @@ def _cmd_join(args) -> int:
         budget is not None
         or args.checkpoint is not None
         or args.explain_plan
-        or args.auto_plan
         or args.verifier is not None
     ):
         raise ReproError(
-            "--budget-*/--checkpoint/--explain-plan/--auto-plan/--verifier "
+            "--budget-*/--checkpoint/--explain-plan/--verifier "
             "require --algorithm gsimjoin"
         )
     if args.shards is not None:
@@ -271,8 +261,6 @@ def _cmd_join(args) -> int:
         options = getattr(GSimJoinOptions, args.variant)(q=args.q)
         if args.verifier is not None:
             options = dataclasses.replace(options, verifier=args.verifier)
-        if args.auto_plan:
-            options = dataclasses.replace(options, plan="auto")
         if args.explain_plan == "table":
             from repro.engine.plan import build_plan
 

@@ -30,8 +30,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 from repro.engine.executor import Executor
 from repro.engine.inverted_index import InvertedIndex
 from repro.engine.options import GSimJoinOptions, Sorter, build_sorter
-from repro.engine.plan import JoinPlan, build_plan, reorder_pair_filters
-from repro.engine.planner import static_choice
+from repro.engine.plan import JoinPlan, build_plan
 from repro.engine.prefix import PrefixInfo
 from repro.engine.result import JoinStatistics
 from repro.exceptions import ParameterError
@@ -73,14 +72,6 @@ class GSimIndex:
         self.tau_max = tau_max
         self.options = options if options is not None else GSimJoinOptions()
         self._plan: JoinPlan = build_plan(self.options)
-        # plan="auto": the index re-picks the cascade order from the
-        # static cost/selectivity model whenever the collection changed
-        # (lazily, on the next query).  Queries themselves run a fixed
-        # plan — per-query adaptation would mutate state shared across
-        # queries, and a single probe rarely sees enough pairs to
-        # calibrate on anyway.
-        self._auto = self.options.plan == "auto"
-        self._plan_stale = self._auto
         self.graphs: List[Graph] = []
         self._profiles: List[QGramProfile] = []
         self._labels: List[Tuple] = []
@@ -127,6 +118,15 @@ class GSimIndex:
             raise ParameterError("indexed graphs need an id")
         if g.graph_id in self._ids:
             raise ParameterError(f"duplicate graph id {g.graph_id!r}")
+        self._check_directedness(g)
+
+    def _check_directedness(self, g: Graph) -> None:
+        """Reject ``g`` when its directedness differs from the indexed
+        graphs' (GED is undefined between the two kinds)."""
+        if self.graphs and g.is_directed != self.graphs[0].is_directed:
+            raise ParameterError(
+                "cannot mix directed and undirected graphs in an index"
+            )
 
     def _insert(self, g: Graph, profile: QGramProfile) -> None:
         """Index ``g`` by its ``profile``, already sorted by the sorter."""
@@ -140,7 +140,6 @@ class GSimIndex:
         self._prefix_lengths.append(info.length)
         if self._store is not None:
             self._store.append(profile, labels, info.length)
-        self._plan_stale = self._auto
         if info.prunable:
             for key in profile.prefix_keys(info.length):
                 self._index.add(key, position)
@@ -158,7 +157,8 @@ class GSimIndex:
         Raises
         ------
         ParameterError
-            If the graph has no id or a duplicate id.
+            If the graph has no id, a duplicate id, or a directedness
+            other than the indexed graphs'.
         """
         self._validate_new(g)
         profile = extract_qgrams(g, self.options.q)
@@ -167,27 +167,6 @@ class GSimIndex:
 
     def _prefix(self, profile: QGramProfile, tau: int) -> PrefixInfo:
         return self._plan.prefix.prefix_info(profile, tau)
-
-    def _refresh_auto_plan(self) -> None:
-        """Re-pick the static auto cascade order after collection changes.
-
-        Runs the planner's static model (:func:`repro.engine.planner.
-        static_choice`) over the indexed profiles at ``tau_max`` and
-        re-orders the shared plan's pair filters in place.  Deterministic
-        for a given collection, so repeated builds agree; result pairs
-        are unaffected (every order is sound) — only prune attribution
-        shifts.
-        """
-        if not self._plan_stale:
-            return
-        self._plan_stale = False
-        if not self._profiles:
-            return
-        order, _rates, _costs = static_choice(
-            self._profiles, self._labels, self.tau_max,
-            self._plan.pair_filters,
-        )
-        self._plan = reorder_pair_filters(self._plan, order)
 
     def query(
         self,
@@ -205,7 +184,8 @@ class GSimIndex:
         Raises
         ------
         ParameterError
-            If ``tau`` exceeds the index's ``tau_max`` or is negative.
+            If ``tau`` exceeds the index's ``tau_max`` or is negative, or
+            if ``g``'s directedness differs from the indexed graphs'.
         """
         if tau < 0:
             raise ParameterError(f"tau must be >= 0, got {tau}")
@@ -213,7 +193,7 @@ class GSimIndex:
             raise ParameterError(
                 f"tau={tau} exceeds the index's tau_max={self.tau_max}"
             )
-        self._refresh_auto_plan()
+        self._check_directedness(g)
         executor = Executor(
             tau,
             self.options,
@@ -291,7 +271,8 @@ class GSimIndex:
         Raises
         ------
         ParameterError
-            If ``k < 1``.
+            If ``k < 1``, or if ``g``'s directedness differs from the
+            indexed graphs'.
         """
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")

@@ -15,9 +15,7 @@ counts and wall time into
 
 The public API (``repro.core`` / ``repro``) is unchanged — the four
 entry points are thin wrappers over this engine — but advanced callers
-can build and inspect plans directly, and
-``GSimJoinOptions(plan=...)`` reorders the per-pair filter cascade (see
-``docs/ARCHITECTURE.md``).
+can build and inspect plans directly (see ``docs/ARCHITECTURE.md``).
 """
 
 from repro.engine.executor import (

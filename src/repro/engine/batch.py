@@ -102,10 +102,8 @@ def batchable_prefix(
 
     Only a prefix is taken — a batched stage after a scalar one would
     evaluate pairs the scalar stage might already have pruned, breaking
-    the first-pruning-stage attribution.  Under the default plan this
-    is ``(global-label-filter, count-filter)``; a custom plan that
-    interleaves (e.g. global, local, count) batches only the leading
-    batchable stages.
+    the first-pruning-stage attribution.  Under the Algorithm 6 order
+    every plan uses, this is ``(global-label-filter, count-filter)``.
     """
     prefix: List[PairFilter] = []
     for stage in pair_filters:

@@ -49,14 +49,7 @@ from repro.engine.options import (
     build_sorter,
     validate_collection,
 )
-from repro.engine.plan import JoinPlan, build_plan, reorder_pair_filters
-from repro.engine.planner import (
-    AdaptivePlanner,
-    advise_parameters,
-    collect_statistics,
-    estimate_pass_rates,
-    unit_costs,
-)
+from repro.engine.plan import JoinPlan, build_plan
 from repro.engine.prefix import PrefixInfo
 from repro.engine.result import (
     BoundedPair,
@@ -119,20 +112,13 @@ def record_of(i: int, j: int, outcome: VerifyOutcome) -> VerificationRecord:
 
 
 def _options_meta(options: GSimJoinOptions) -> dict:
-    """``options`` as a journal-header dict, omitting an unset plan.
+    """``options`` as a journal-header dict, without ``batch``.
 
-    Pre-engine journals were written before the ``plan`` field existed,
-    so a defaulted plan is dropped from the header — a resumed run with
-    ``plan=None`` reproduces the historical meta byte-for-byte.  An
-    explicit plan stays in (reordering the cascade shifts journaled
-    prune attribution, so such journals must not cross plans).
-    ``batch`` is *always* dropped: the batch kernels are bit-identical
-    to the scalar cascade, so a journal written under either mode must
-    resume under the other (and reproduce the pre-batch header).
+    The batch kernels are bit-identical to the scalar cascade, so a
+    journal written under either mode must resume under the other (and
+    reproduce the pre-batch header).
     """
     options_dict = dataclasses.asdict(options)
-    if options_dict.get("plan") is None:
-        options_dict.pop("plan", None)
     options_dict.pop("batch", None)
     return options_dict
 
@@ -277,13 +263,6 @@ class Executor:
         )
         self._store: Optional[ColumnarStore] = None
         self._target_base = 0
-        #: Adaptive planner driving ``options.plan == "auto"`` runs.
-        #: Created by :meth:`prepare` once collection statistics exist;
-        #: a caller-supplied pre-built plan disables it (the caller —
-        #: the search index, a parallel worker — already fixed the
-        #: order).
-        self.planner: Optional[AdaptivePlanner] = None
-        self._auto = options.plan == "auto" and plan is None
 
     # --- Columnar store (batch mode) -----------------------------------
 
@@ -383,69 +362,7 @@ class Executor:
         row.survivors += prunable
         row.seconds += prefixed - prepared
 
-        if self._auto and self.planner is None:
-            filters = self.plan.pair_filters
-            collection = collect_statistics(profiles, labels)
-            rates = estimate_pass_rates(profiles, labels, tau, filters)
-            self.planner = AdaptivePlanner(
-                filters, rates, unit_costs(collection)
-            )
-            stats.plan_advice = advise_parameters(
-                collection, self.options.q, tau
-            )
-            self.apply_pending_replan()
-            self._refresh_estimates()
         return profiles, prefixes, labels
-
-    # --- Adaptive planning ---------------------------------------------
-
-    def apply_pending_replan(self) -> None:
-        """Apply the planner's pending re-plan decision, if any.
-
-        Called at pair-group boundaries (the top of
-        :meth:`collect_candidates`, and by the parallel driver between
-        probe graphs during replay/calibration) — never mid-group, so
-        the batch and scalar paths, and a journal-replayed resume, all
-        see the decision at the same point.  The event is recorded in
-        ``stats.replan_events``.
-        """
-        planner = self.planner
-        if planner is None:
-            return
-        event = planner.poll()
-        if event is None:
-            return
-        self._apply_order(tuple(event["to"]))
-        self.stats.replan_events.append(event)
-
-    def _apply_order(self, order: Tuple[str, ...]) -> None:
-        """Re-order the live cascade (and its batchable prefix)."""
-        if order == tuple(s.name for s in self.plan.pair_filters):
-            return
-        self.plan = reorder_pair_filters(self.plan, order)
-        self._cascade = tuple(
-            (stage, self._rows[stage.name]) for stage in self.plan.pair_filters
-        )
-        self._batch_stages = (
-            batchable_prefix(self.plan.pair_filters) if self.batch else ()
-        )
-
-    def _refresh_estimates(self) -> None:
-        """Copy the planner's model into the stage rows.
-
-        Called once at plan time (before any observation,
-        ``current_rates()`` *is* the static estimate), so the rows'
-        ``estimated_selectivity`` stays the model's prediction and the
-        ``observed_selectivity`` property measures it against reality.
-        """
-        planner = self.planner
-        if planner is None:
-            return
-        rates = planner.current_rates()
-        costs = planner.costs
-        for stage, row in self._cascade:
-            row.estimated_selectivity = rates[stage.name]
-            row.estimated_cost = costs[stage.name]
 
     # --- Candidate generation -----------------------------------------
 
@@ -466,12 +383,7 @@ class Executor:
         the whole inner/indexed collection otherwise).  Accrues
         ``cand1`` and the candidates/size-filter stage rows; the caller
         owns the ``candidate_time`` phase timer.
-
-        A probe call is a pair-group boundary: any pending adaptive
-        re-plan is applied here, before this probe's candidates see the
-        cascade.
         """
-        self.apply_pending_replan()
         stats, tau = self.stats, self.tau
         r = profile.graph
         started = time.perf_counter()
@@ -633,17 +545,6 @@ class Executor:
                     getattr(stats, stage.counter) + pruned_here,
                 )
             remaining -= pruned_here
-        planner = self.planner
-        if planner is not None:
-            # Batch-pruned pairs never reach verify_candidate; feed
-            # their tags to the planner here.  Survivors are observed
-            # when the scalar cascade finishes them.  Within-group
-            # observation order differs from the scalar path, but the
-            # planner only acts on cumulative counts at group
-            # boundaries, where both paths agree.
-            for tag in verdicts.tags:
-                if tag is not None:
-                    planner.observe(tag)
         return verdicts
 
     # --- Verification --------------------------------------------------
@@ -678,8 +579,6 @@ class Executor:
             row.seconds += time.perf_counter() - started
             if tag is not None:
                 setattr(stats, stage.counter, getattr(stats, stage.counter) + 1)
-                if self.planner is not None:
-                    self.planner.observe(tag)
                 return VerifyOutcome(False, tag)
             row.survivors += 1
         row = self._row_verify
@@ -691,8 +590,6 @@ class Executor:
         row.seconds += time.perf_counter() - started
         if outcome.is_result:
             row.survivors += 1
-        if self.planner is not None:
-            self.planner.observe(outcome.pruned_by)
         return outcome
 
     # --- Record replay -------------------------------------------------
@@ -739,12 +636,6 @@ class Executor:
             stats.undecided += 1
         stats.replayed_pairs += 1
         self._accrue_record_rows(rec)
-        if self.planner is not None and rec.pruned_by != "error":
-            # Journaled outcomes feed the planner exactly as the live
-            # cascade would have, so a resumed run reconstructs the
-            # same counts — and therefore the same re-plan decisions at
-            # the same group boundaries — as the uninterrupted run.
-            self.planner.observe(rec.pruned_by)
 
     def apply_worker_record(self, rec: VerificationRecord) -> None:
         """Accrue one parallel-worker record (fresh work, not a replay)."""

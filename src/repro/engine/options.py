@@ -1,16 +1,15 @@
 """GSimJoin run configuration and collection validation.
 
 :class:`GSimJoinOptions` selects the paper's filtering level, the q-gram
-length, the interned-signature fast path, and the GED backend; the
-staged execution engine additionally reads the optional ``plan`` field
-— an explicit ordering of the per-pair filter cascade — when assembling
-a :class:`repro.engine.plan.JoinPlan` from the options.
+length, the interned-signature fast path, the GED backend and the batch
+kernels; :func:`repro.engine.plan.build_plan` assembles the
+:class:`repro.engine.plan.JoinPlan` these options imply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from repro.engine.ordering import QGramOrdering, build_ordering
 from repro.exceptions import ParameterError
@@ -75,22 +74,6 @@ class GSimJoinOptions:
         expansions (off by default so expansion counts stay comparable
         with the object backend).  Requires a backend declaring
         anchor-bound support (``verifier="compiled"``).
-    plan:
-        Optional explicit ordering of the per-pair filter cascade, as a
-        tuple of stage names — a strict permutation of the cascade the
-        enabled options imply (e.g. ``("count-filter",
-        "global-label-filter", "local-label-filter")`` for the full
-        variant).  ``None`` (the default) keeps the paper's order.
-        Every ordering is sound — each filter is an independent GED
-        lower bound — and produces identical result pairs; only the
-        per-filter prune attribution and timings shift.  Validated by
-        :func:`repro.engine.plan.build_plan`.  The string ``"auto"``
-        (CLI ``--auto-plan``) enables the adaptive cost-based planner
-        of :mod:`repro.engine.planner` instead: the cascade starts in
-        the order the static cost/selectivity model picks and is
-        re-ordered mid-join from observed pruning counts — result
-        pairs stay bit-identical to every static order (see
-        ``docs/PERFORMANCE.md``).  No other string is accepted.
     batch:
         Evaluate the size, global-label and count filters over whole
         candidate blocks with the vectorized numpy kernels of
@@ -113,24 +96,7 @@ class GSimJoinOptions:
     interned: bool = True
     verifier: str = "compiled"
     anchor_bound: bool = False
-    plan: Optional[Union[str, Tuple[str, ...]]] = None
     batch: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        """Normalize a list/sequence ``plan`` to a tuple (frozen field).
-
-        The only string accepted is ``"auto"`` (the adaptive planner);
-        any other string is rejected here rather than exploding into a
-        tuple of characters.
-        """
-        if isinstance(self.plan, str):
-            if self.plan != "auto":
-                raise ParameterError(
-                    f"plan must be 'auto', None, or a tuple of stage "
-                    f"names, got {self.plan!r}"
-                )
-        elif self.plan is not None and not isinstance(self.plan, tuple):
-            object.__setattr__(self, "plan", tuple(self.plan))
 
     @classmethod
     def basic(cls, q: int = 4, interned: bool = True) -> "GSimJoinOptions":

@@ -39,7 +39,6 @@ terminates with a complete accounting: every candidate pair ends up in
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -59,7 +58,7 @@ from repro.engine.inverted_index import InvertedIndex
 from repro.engine.options import GSimJoinOptions, validate_collection
 from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
 from repro.engine.stages import VerifyOutcome
-from repro.engine.verify import _filters_for, _filters_for_order, verify_pair
+from repro.engine.verify import _filters_for, verify_pair
 from repro.exceptions import ParameterError, ReproError
 from repro.ged.compiled import VerificationCache
 from repro.ged.portfolio import validate_backend_options
@@ -107,13 +106,6 @@ def _init_worker(
     # Each worker compiles the graphs it touches once, however many
     # candidate pairs they appear in across this worker's chunks.
     _worker["cache"] = VerificationCache()
-    # The cascade order this worker verifies with: a tuple plan (the
-    # parent ships the planner-calibrated order this way — never the
-    # raw "auto" marker, which only the parent's executor interprets)
-    # or the default order otherwise.
-    plan = options.plan
-    plan_order = plan if isinstance(plan, tuple) else None
-    _worker["plan_order"] = plan_order
     # Batch mode: the parent ships its columnar store so workers run the
     # vectorized kernels over each chunk's same-probe runs.  The
     # batchable prefix is derived from the same cascade ``verify_pair``
@@ -122,9 +114,7 @@ def _init_worker(
     _worker["store"] = store
     _worker["batch_stages"] = (
         batchable_prefix(
-            _filters_for_order(plan_order)
-            if plan_order is not None
-            else _filters_for(options.local_label, options.multicover)
+            _filters_for(options.local_label, options.multicover)
         )
         if store is not None
         else ()
@@ -197,28 +187,10 @@ def _verify_chunk(chunk: List[Tuple[int, int]]) -> List[VerificationRecord]:
                 cache=_worker["cache"],
                 anchor_bound=options.anchor_bound,
                 hinted=block.hint_for(t) if block is not None else None,
-                plan_order=_worker["plan_order"],
             )
             records.append(record_of(i, j, outcome))
         pos = end
     return records
-
-
-def _planner_boundary(executor: Executor) -> None:
-    """One pair-group boundary of the adaptive planner, parallel-style.
-
-    Applies any pending re-plan; once the calibration decision has been
-    taken, freezes the planner — the parallel driver calibrates in the
-    parent on the leading candidate pairs and then ships one fixed
-    order to the workers, so no decision may fire after hand-off.
-    No-op for non-auto runs.
-    """
-    planner = executor.planner
-    if planner is None or planner.frozen:
-        return
-    executor.apply_pending_replan()
-    if planner.calibrated:
-        planner.freeze()
 
 
 def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
@@ -366,76 +338,21 @@ def execute_parallel_join(
     records: Dict[Tuple[int, int], VerificationRecord] = {}
     try:
         todo: List[Tuple[int, int]] = []
-        prev_i: Optional[int] = None
         for key in pairs:
             rec = journal.completed.get(key) if journal is not None else None
             if rec is not None:
-                # A journal prefix replays through the planner exactly
-                # as the original run observed it, boundaries included,
-                # so a resumed auto-plan run re-takes the same decisions
-                # at the same points (kill-and-resume bit-identity).
-                if key[0] != prev_i:
-                    _planner_boundary(executor)
-                    prev_i = key[0]
                 executor.replay(rec)
                 records[key] = rec
             else:
                 todo.append(key)
 
         started = time.perf_counter()
-        # Auto-plan calibration: verify the leading candidate pairs in
-        # the parent until the planner's calibration window fills, then
-        # freeze and ship the calibrated order to the workers.  (On a
-        # resume the replay loop above may already have filled — or
-        # partly filled — the window; ``prev_i`` carries across so a
-        # mid-group kill does not introduce an extra boundary.)
-        calibrated = 0
-        if executor.planner is not None:
-            planner = executor.planner
-            # The calibration pairs verify in the parent, so the fault
-            # plan steps here too — a mid-calibration fault interrupts
-            # the join with the journal intact, and the resume replays
-            # the partial window bit-identically.
-            cal_injector = fault.start() if fault is not None else None
-            while calibrated < len(todo) and not planner.frozen:
-                i, j = todo[calibrated]
-                if i != prev_i:
-                    _planner_boundary(executor)
-                    if planner.frozen:
-                        break
-                    prev_i = i
-                if cal_injector is not None:
-                    cal_injector.step()
-                outcome = executor.verify_candidate(
-                    profiles[i], profiles[j], labels[i], labels[j]
-                )
-                rec = record_of(i, j, outcome)
-                records[(i, j)] = rec
-                if journal is not None:
-                    journal.append(rec)
-                calibrated += 1
-            if not planner.frozen:
-                executor.apply_pending_replan()
-                planner.freeze()
-        todo = todo[calibrated:]
-
-        # Workers receive the frozen calibrated order as an explicit
-        # tuple plan — never the "auto" marker (the journal header, by
-        # contrast, keeps the original options: the calibrated order is
-        # derived state, re-derived deterministically on resume).
-        worker_options = options
-        if executor.planner is not None:
-            worker_options = dataclasses.replace(
-                options,
-                plan=tuple(s.name for s in executor.plan.pair_filters),
-            )
-
         chunks = [
             todo[k : k + chunk_size] for k in range(0, len(todo), chunk_size)
         ]
         if workers == 1:
             _init_worker(
-                profiles, labels, tau, worker_options, budget, fault, store
+                profiles, labels, tau, options, budget, fault, store
             )
             try:
                 for chunk in chunks:
@@ -452,7 +369,7 @@ def execute_parallel_join(
                 profiles=profiles,
                 labels=labels,
                 tau=tau,
-                options=worker_options,
+                options=options,
                 budget=budget,
                 fault=fault,
                 store=store,

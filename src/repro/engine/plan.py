@@ -4,12 +4,9 @@
 tuple of first-class stage objects from :mod:`repro.engine.stages` —
 from a :class:`~repro.engine.options.GSimJoinOptions`.  The structural
 stages (prepare, prefix, candidates, size filter, verify) are fixed by
-the algorithm's shape; the per-pair filter cascade in the middle is the
-reorderable part, and ``GSimJoinOptions(plan=...)`` may supply any
-strict permutation of the enabled filter names.  Every ordering is
-sound (each filter is an independent GED lower bound over shared,
-cached intermediates) and yields identical result pairs; only prune
-attribution and stage timings shift.
+the algorithm's shape; the per-pair filter cascade in the middle runs
+the enabled filters in the paper's Algorithm 6 order
+(:func:`build_cascade`, the one definition of that order).
 
 ``JoinPlan.describe()`` renders the plan for the CLI's
 ``--explain-plan``.
@@ -18,7 +15,7 @@ attribution and stage timings shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Tuple
 
 from repro.engine.options import GSimJoinOptions
 from repro.engine.stages import (
@@ -34,29 +31,34 @@ from repro.engine.stages import (
     SizeFilter,
     Verify,
 )
-from repro.exceptions import ParameterError
 
 __all__ = [
     "JoinPlan",
     "build_plan",
-    "reorder_pair_filters",
+    "build_cascade",
     "DEFAULT_FILTER_ORDER",
 ]
 
-#: The paper's cascade order (Algorithm 6), cheapest bound first.
-DEFAULT_FILTER_ORDER: Tuple[str, ...] = (
-    "global-label-filter",
-    "count-filter",
-    "local-label-filter",
-    "multicover-filter",
-)
 
-_FILTER_FACTORIES = {
-    "global-label-filter": GlobalLabelFilter,
-    "count-filter": CountFilter,
-    "local-label-filter": LabelFilter,
-    "multicover-filter": MulticoverFilter,
-}
+def build_cascade(
+    local_label: bool, multicover: bool
+) -> Tuple[PairFilter, ...]:
+    """The enabled pair filters in the paper's Algorithm 6 order,
+    cheapest bound first: global label and count filtering always,
+    then local label filtering and the multicover extension when
+    enabled."""
+    filters: List[PairFilter] = [GlobalLabelFilter(), CountFilter()]
+    if local_label:
+        filters.append(LabelFilter())
+    if multicover:
+        filters.append(MulticoverFilter())
+    return tuple(filters)
+
+
+#: The stage names of the full cascade, in Algorithm 6 order.
+DEFAULT_FILTER_ORDER: Tuple[str, ...] = tuple(
+    f.name for f in build_cascade(local_label=True, multicover=True)
+)
 
 
 @dataclass(frozen=True)
@@ -114,103 +116,19 @@ class JoinPlan:
 
 
 def build_plan(options: GSimJoinOptions) -> JoinPlan:
-    """Assemble the :class:`JoinPlan` that ``options`` implies.
-
-    The per-pair cascade defaults to the enabled subset of
-    :data:`DEFAULT_FILTER_ORDER`; ``options.plan`` may reorder it but
-    must name exactly the enabled filters (a strict permutation).
-    ``plan="auto"`` builds the same default-order plan — the adaptive
-    planner (:mod:`repro.engine.planner`) re-orders it inside the
-    executor once collection statistics exist.
-
-    Raises
-    ------
-    ParameterError
-        When ``options.plan`` names an unknown stage, repeats a name,
-        omits an enabled filter, or includes a disabled one.
-    """
-    enabled = ["global-label-filter", "count-filter"]
-    if options.local_label:
-        enabled.append("local-label-filter")
-    if options.multicover:
-        enabled.append("multicover-filter")
-
-    order = [name for name in DEFAULT_FILTER_ORDER if name in enabled]
-    if options.plan is not None and options.plan != "auto":
-        requested = list(options.plan)
-        unknown = [n for n in requested if n not in _FILTER_FACTORIES]
-        if unknown:
-            raise ParameterError(
-                f"plan names unknown stages {unknown!r}; "
-                f"reorderable stages are {sorted(_FILTER_FACTORIES)!r}"
-            )
-        duplicates = sorted(
-            {n for n in requested if requested.count(n) > 1}
-        )
-        if duplicates:
-            raise ParameterError(
-                f"plan repeats stage name(s) {duplicates!r}; each enabled "
-                f"pair filter must appear exactly once"
-            )
-        if sorted(requested) != sorted(order):
-            raise ParameterError(
-                f"plan must be a permutation of the enabled pair filters "
-                f"{order!r}, got {tuple(requested)!r}"
-            )
-        order = requested
-
+    """Assemble the :class:`JoinPlan` that ``options`` implies."""
     prefix_stage = MinEditFilter() if options.minedit_prefix else BasicPrefix()
-    return _assemble(options, prefix_stage, order)
-
-
-def _assemble(
-    options: GSimJoinOptions, prefix_stage: object, order: "list[str]"
-) -> JoinPlan:
-    """Instantiate the stage tuple for a validated filter ``order``."""
     stages = (
         PrepareProfiles(),
         prefix_stage,
         PrefixCandidates(),
         SizeFilter(),
-        *(_FILTER_FACTORIES[name]() for name in order),
+        *build_cascade(options.local_label, options.multicover),
         Verify(
             verifier=options.verifier,
             improved_order=options.improved_order,
             improved_h=options.improved_h,
             anchor_bound=options.anchor_bound,
         ),
-    )
-    return JoinPlan(stages=stages)
-
-
-def reorder_pair_filters(
-    plan: JoinPlan, order: Tuple[str, ...]
-) -> JoinPlan:
-    """``plan`` with its pair-filter cascade re-ordered to ``order``.
-
-    Reuses the existing stage *objects* (the structural stages keep
-    their identity and any accrued state; only the cascade positions
-    change).  Used by the adaptive planner when a re-plan event fires —
-    ``order`` must be a permutation of the plan's current filter names.
-
-    Raises
-    ------
-    ParameterError
-        When ``order`` is not a permutation of the plan's pair filters.
-    """
-    by_name = {stage.name: stage for stage in plan.pair_filters}
-    if sorted(order) != sorted(by_name):
-        raise ParameterError(
-            f"reorder must permute the plan's pair filters "
-            f"{tuple(sorted(by_name))!r}, got {tuple(order)!r}"
-        )
-    reordered = tuple(by_name[name] for name in order)
-    stages = (
-        plan.prepare,
-        plan.prefix,
-        plan.candidates,
-        plan.size_filter,
-        *reordered,
-        plan.verify,
     )
     return JoinPlan(stages=stages)

@@ -60,22 +60,11 @@ class StageStatistics:
     input: int = 0
     survivors: int = 0
     seconds: float = 0.0
-    estimated_selectivity: Optional[float] = None
-    #: planner-estimated pass rate (``plan="auto"`` runs only)
-    estimated_cost: Optional[float] = None
-    #: planner unit cost in relative units (``plan="auto"`` runs only)
 
     @property
     def pruned(self) -> int:
         """Units the stage removed (``input - survivors``)."""
         return self.input - self.survivors
-
-    @property
-    def observed_selectivity(self) -> Optional[float]:
-        """Observed pass rate (``survivors / input``); ``None`` if idle."""
-        if self.input <= 0:
-            return None
-        return self.survivors / self.input
 
 
 @dataclass
@@ -122,15 +111,6 @@ class JoinStatistics:
     stages: List[StageStatistics] = field(default_factory=list)
     #: one row per plan stage, in plan order (filled by the engine)
 
-    replan_events: List[Dict[str, Any]] = field(default_factory=list)
-    #: adaptive-planner re-plan events (``plan="auto"`` runs only), in
-    #: order: ``{"pair_index", "trigger", "from", "to",
-    #: "estimated_cost_before", "estimated_cost_after"}``
-
-    plan_advice: Dict[str, Any] = field(default_factory=dict)
-    #: advisory parameter recommendation from the planner (never
-    #: applied at runtime — see ``repro.engine.planner.advise_parameters``)
-
     @property
     def total_time(self) -> float:
         """Summed phase wall time (index + candidates + verify)."""
@@ -142,35 +122,13 @@ class JoinStatistics:
         return self.total_prefix_length / self.num_graphs if self.num_graphs else 0.0
 
     def stage_table(self) -> str:
-        """The per-stage breakdown as an aligned text table.
-
-        When the adaptive planner annotated the stages (``plan="auto"``
-        runs), three columns are appended: the planner's estimated pass
-        rate (``est.sel``), the observed pass rate (``obs.sel``) and
-        the estimated unit cost in relative units (``est.cost``).
-        """
+        """The per-stage breakdown as an aligned text table."""
         if not self.stages:
             return "(no stage statistics recorded)"
-        planned = any(
-            s.estimated_selectivity is not None for s in self.stages
-        )
-        header = ["stage", "role", "input", "survivors", "pruned", "seconds"]
-        if planned:
-            header += ["est.sel", "obs.sel", "est.cost"]
-        rows = [tuple(header)]
+        rows = [("stage", "role", "input", "survivors", "pruned", "seconds")]
         for s in self.stages:
-            row = [s.name, s.role, str(s.input), str(s.survivors),
-                   str(s.pruned), f"{s.seconds:.4f}"]
-            if planned:
-                est = s.estimated_selectivity
-                obs = s.observed_selectivity
-                cost = s.estimated_cost
-                row += [
-                    "-" if est is None else f"{est:.3f}",
-                    "-" if obs is None else f"{obs:.3f}",
-                    "-" if cost is None else f"{cost:.2f}",
-                ]
-            rows.append(tuple(row))
+            rows.append((s.name, s.role, str(s.input), str(s.survivors),
+                         str(s.pruned), f"{s.seconds:.4f}"))
         widths = [
             max(len(row[col]) for row in rows)
             for col in range(len(rows[0]))
@@ -187,24 +145,14 @@ class JoinStatistics:
                 for name, count in sorted(self.verify_backends.items())
             )
             lines.append(f"verify backends: {breakdown}")
-        if self.replan_events:
-            lines.append("re-plan events:")
-            for event in self.replan_events:
-                lines.append(
-                    f"  pair {event['pair_index']}: {event['trigger']} "
-                    f"{' -> '.join(event['to'])} "
-                    f"(est. cost {event['estimated_cost_before']:.2f} "
-                    f"-> {event['estimated_cost_after']:.2f})"
-                )
         return "\n".join(lines)
 
     def plan_report(self) -> Dict[str, Any]:
-        """The planner-facing view of the run as a JSON-ready dict.
+        """The per-stage view of the run as a JSON-ready dict.
 
         Consumed by the CLI's ``--explain-plan=json``: one entry per
-        stage with estimated vs observed selectivity and cost, the
-        re-plan events with their triggers, and any advisory parameter
-        recommendation.
+        stage with its survivor counts and wall time, plus the
+        per-backend verify counts and the verdict-memo hits.
         """
         return {
             "stages": [
@@ -215,14 +163,9 @@ class JoinStatistics:
                     "survivors": s.survivors,
                     "pruned": s.pruned,
                     "seconds": s.seconds,
-                    "estimated_selectivity": s.estimated_selectivity,
-                    "observed_selectivity": s.observed_selectivity,
-                    "estimated_cost": s.estimated_cost,
                 }
                 for s in self.stages
             ],
-            "replan_events": list(self.replan_events),
-            "plan_advice": dict(self.plan_advice),
             "verify_backends": dict(self.verify_backends),
             "memo_hits": self.memo_hits,
         }

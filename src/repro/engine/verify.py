@@ -18,12 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple
 
+from repro.engine.plan import build_cascade
 from repro.engine.result import JoinStatistics
 from repro.engine.stages import (
-    CountFilter,
-    GlobalLabelFilter,
-    LabelFilter,
-    MulticoverFilter,
     PairContext,
     PairFilter,
     Verify,
@@ -43,32 +40,8 @@ LabelPair = Tuple
 def _filters_for(
     use_local_label: bool, use_multicover: bool
 ) -> Tuple[PairFilter, ...]:
-    """The default-order cascade for one flag combination (cached)."""
-    filters = [GlobalLabelFilter(), CountFilter()]
-    if use_local_label:
-        filters.append(LabelFilter())
-    if use_multicover:
-        filters.append(MulticoverFilter())
-    return tuple(filters)
-
-
-_FILTER_CLASSES = {
-    "global-label-filter": GlobalLabelFilter,
-    "count-filter": CountFilter,
-    "local-label-filter": LabelFilter,
-    "multicover-filter": MulticoverFilter,
-}
-
-
-@lru_cache(maxsize=None)
-def _filters_for_order(order: Tuple[str, ...]) -> Tuple[PairFilter, ...]:
-    """The cascade for an explicit stage-name order (cached).
-
-    Used by the parallel workers when the driver ships a non-default
-    (e.g. planner-calibrated) cascade order; ``order`` is assumed
-    already validated by :func:`repro.engine.plan.build_plan`.
-    """
-    return tuple(_FILTER_CLASSES[name]() for name in order)
+    """The Algorithm 6 cascade for one flag combination (cached)."""
+    return build_cascade(use_local_label, use_multicover)
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +73,6 @@ def verify_pair(
     cache: Optional[VerificationCache] = None,
     anchor_bound: bool = False,
     hinted: Optional[FrozenSet[str]] = None,
-    plan_order: Optional[Tuple[str, ...]] = None,
 ) -> VerifyOutcome:
     """Run Algorithm 6 on one candidate pair.
 
@@ -138,11 +110,6 @@ def verify_pair(
     are skipped without re-evaluation (and without prune-counter
     effect — a hinted stage by definition did not prune).
 
-    ``plan_order``, when given, runs the cascade in that explicit
-    stage-name order instead of the default — the parallel workers use
-    it to honour a driver-shipped (planner-calibrated) plan.  Every
-    order yields the same verdict; only prune attribution shifts.
-
     Raises
     ------
     ParameterError
@@ -151,11 +118,7 @@ def verify_pair(
         exclude.
     """
     ctx = PairContext(p_r, p_s, tau, labels_r, labels_s)
-    filters = (
-        _filters_for_order(plan_order)
-        if plan_order is not None
-        else _filters_for(use_local_label, use_multicover)
-    )
+    filters = _filters_for(use_local_label, use_multicover)
     verify = _verify_for(verifier, improved_order, improved_h, anchor_bound)
     return run_cascade(
         filters, verify, ctx, stats=stats, budget=budget, cache=cache,

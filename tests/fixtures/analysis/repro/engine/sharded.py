@@ -1,5 +1,5 @@
-"""Fixture: hot-path allocations inside the sharded-join combo loops."""
-
+"""Fixture: sharded-join hot-path allocations and an upward import."""
+from repro.core.search import GSimIndex  # noqa: F401  line 2: layering
 
 def run_combo(positions, graphs, journal):
     records = []

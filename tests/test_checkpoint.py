@@ -183,6 +183,41 @@ class TestResumeGuards:
         assert first.stats.replayed_pairs == 0
 
 
+class TestJournalHeaderCompatibility:
+    """Journals keep one option-key set, so older journals stay
+    resumable and foreign ones are refused."""
+
+    #: The option keys a default-options journal header carries.
+    HEADER_OPTION_KEYS = {
+        "q", "minedit_prefix", "local_label", "improved_order",
+        "improved_h", "multicover", "interned", "verifier", "anchor_bound",
+    }
+
+    def test_default_header_option_keys(self, tmp_path):
+        journal = tmp_path / "join.jsonl"
+        gsim_join(molecule_collection(10, seed=41), 1, checkpoint=journal)
+        header = json.loads(journal.read_text().splitlines()[0])
+        assert set(header["meta"]["options"]) == self.HEADER_OPTION_KEYS
+
+    @pytest.mark.parametrize(
+        "plan",
+        ["auto", ["count-filter", "global-label-filter", "local-label-filter"]],
+    )
+    def test_header_with_plan_key_refused(self, tmp_path, plan):
+        """A journal written under a reordered or adaptive cascade (its
+        header carries a ``plan`` key) is refused, not resumed."""
+        graphs = molecule_collection(10, seed=41)
+        journal = tmp_path / "join.jsonl"
+        gsim_join(graphs, 1, checkpoint=journal)
+        lines = journal.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["meta"]["options"]["plan"] = plan
+        lines[0] = json.dumps(header, sort_keys=True) + "\n"
+        journal.write_text("".join(lines))
+        with pytest.raises(CheckpointError, match="different run"):
+            gsim_join(graphs, 1, checkpoint=journal)
+
+
 class TestVerificationRecordJson:
     """Record lines are ``json.dumps(asdict(record), sort_keys=True)``."""
 

@@ -280,6 +280,61 @@ class TestDirectedJoins:
             }
             assert got == expected
 
+    def undirected_twins(self, graphs, offset=100):
+        """Undirected copies of ``graphs`` (same labels, same edges)."""
+        twins = []
+        for g in graphs:
+            u = Graph(g.graph_id + offset)
+            for v in g.vertices():
+                u.add_vertex(v, g.vertex_label(v))
+            for a, b, label in g.edges():
+                if not u.has_edge(a, b):
+                    u.add_edge(a, b, label)
+            twins.append(u)
+        return twins
+
+    def test_index_build_rejects_mixed_directedness(self):
+        graphs = self.random_digraph_collection(seed=11, size=6)
+        twins = self.undirected_twins(graphs)
+        with pytest.raises(ParameterError, match="mix"):
+            GSimIndex(twins[:3] + graphs[:1], tau_max=2)
+        with pytest.raises(ParameterError, match="mix"):
+            GSimIndex(graphs[:3] + twins[:1], tau_max=2)
+
+    def test_index_add_rejects_other_directedness(self):
+        graphs = self.random_digraph_collection(seed=13, size=8)
+        twins = self.undirected_twins(graphs)
+        options = GSimJoinOptions.full(q=2)
+        index = GSimIndex(twins[:6], tau_max=2, options=options)
+        before = [index.query(g, tau=2) for g in twins]
+        with pytest.raises(ParameterError, match="mix"):
+            index.add(graphs[0])
+        assert len(index) == 6
+        assert [index.query(g, tau=2) for g in twins] == before
+        index.add(twins[6])
+        assert len(index) == 7
+        # An index that starts empty takes its kind from the first add.
+        empty = GSimIndex(tau_max=2, options=options)
+        empty.add(graphs[0])
+        with pytest.raises(ParameterError, match="mix"):
+            empty.add(twins[1])
+        assert len(empty) == 1
+
+    def test_index_query_rejects_other_directedness(self):
+        graphs = self.random_digraph_collection(seed=17, size=8)
+        twins = self.undirected_twins(graphs)
+        options = GSimJoinOptions.full(q=2)
+        undirected = GSimIndex(twins, tau_max=2, options=options)
+        directed = GSimIndex(graphs, tau_max=2, options=options)
+        for index, foreign in ((undirected, graphs), (directed, twins)):
+            for g in foreign[:3]:
+                with pytest.raises(ParameterError, match="mix"):
+                    index.query(g, tau=2)
+                with pytest.raises(ParameterError, match="mix"):
+                    index.query_top_k(g, k=2)
+        # Either kind may query an empty index.
+        assert GSimIndex(tau_max=2).query(graphs[0], tau=1) == []
+
 
 class TestDirectedSerialization:
     def test_text_round_trip(self):
