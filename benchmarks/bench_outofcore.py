@@ -1,7 +1,9 @@
 """Extension benchmark — out-of-core sharded join under a memory cap.
 
 Not a paper figure: demonstrates the robustness contract of
-``gsim_join_sharded``.  Two claims are measured and asserted:
+``gsim_join_sharded``.  Two claims are measured and asserted, and the
+sharded join is also timed without a cap at one and two workers (pair
+tasks on a process pool):
 
 * **Bounded memory.**  Under a hard address-space cap (RLIMIT_AS set to
   the post-import footprint plus a fixed headroom) the in-memory join
@@ -65,14 +67,16 @@ CAPPED_SHARDED = """
 import resource, sys
 from repro.core.sharded import gsim_join_sharded, result_fingerprint
 
-collection, spill_dir, headroom_mb = sys.argv[1], sys.argv[2], int(sys.argv[3])
+collection, spill_dir, headroom_mb, workers = (
+    sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+)
 with open("/proc/self/statm") as f:
     vm_now = int(f.read().split()[0]) * resource.getpagesize()
 cap = vm_now + headroom_mb * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 result = gsim_join_sharded(
     collection, {tau}, spill_dir=spill_dir, shards={shards},
-    memory_budget_mb=8,
+    memory_budget_mb=8, workers=workers,
 )
 print(result_fingerprint(result))
 """.format(tau=TAU, shards=SHARDS)
@@ -137,17 +141,34 @@ def run_cell(graphs, tmp_path):
         f"{time.perf_counter() - started:.2f}", "MemoryError", "-",
     ])
 
-    started = time.perf_counter()
-    sharded = _run(
-        CAPPED_SHARDED, collection, tmp_path / "spill-capped", HEADROOM_MB
-    )
-    assert sharded.returncode == 0, sharded.stderr.decode()
-    assert sharded.stdout.decode().strip() == fingerprint
-    rows.append([
-        f"sharded, {HEADROOM_MB}MB cap",
-        f"{time.perf_counter() - started:.2f}", "ok (fp match)",
-        reference.stats.results,
-    ])
+    # Sharded without a cap, one process and pair tasks on two workers
+    # (forked workers inherit the cap in the capped rows below).
+    for workers in (1, 2):
+        started = time.perf_counter()
+        uncapped = gsim_join_sharded(
+            collection, TAU, spill_dir=tmp_path / f"spill-uncapped-{workers}",
+            shards=SHARDS, workers=workers,
+        )
+        elapsed = time.perf_counter() - started
+        assert result_fingerprint(uncapped) == fingerprint
+        rows.append([
+            f"sharded, uncapped, workers={workers}", f"{elapsed:.2f}",
+            "ok (fp match)", uncapped.stats.results,
+        ])
+
+    for workers, label in ((1, ""), (2, ", workers=2")):
+        started = time.perf_counter()
+        sharded = _run(
+            CAPPED_SHARDED, collection, tmp_path / f"spill-capped-{workers}",
+            HEADROOM_MB, workers,
+        )
+        assert sharded.returncode == 0, sharded.stderr.decode()
+        assert sharded.stdout.decode().strip() == fingerprint
+        rows.append([
+            f"sharded, {HEADROOM_MB}MB cap{label}",
+            f"{time.perf_counter() - started:.2f}", "ok (fp match)",
+            reference.stats.results,
+        ])
 
     # Crash recovery: kill at each lifecycle stage, resume, compare.
     clean = gsim_join_sharded(

@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel verification processes (gsimjoin only; default 1)",
+        help="worker processes (gsimjoin only; default 1): verification "
+        "chunks in memory, whole shard pairs with --shards",
     )
     join.add_argument(
         "--verifier",
@@ -96,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="chunk re-dispatches before in-process fallback (workers > 1)",
+        help="re-dispatches of a failed chunk (or shard pair, with "
+        "--shards) before in-process fallback (workers > 1)",
     )
     join.add_argument(
         "--shards",

@@ -42,6 +42,15 @@ from repro.grams.qgrams import QGramProfile, extract_profiles, extract_qgrams
 __all__ = ["GSimIndex"]
 
 
+def _require_same_kind(g: Graph, first: Optional[Graph]) -> None:
+    """Reject ``g`` when its directedness differs from ``first``'s (GED
+    is undefined between the two kinds)."""
+    if first is not None and g.is_directed != first.is_directed:
+        raise ParameterError(
+            "cannot mix directed and undirected graphs in an index"
+        )
+
+
 class GSimIndex:
     """A graph similarity search index with edit distance thresholds.
 
@@ -92,6 +101,11 @@ class GSimIndex:
         self._cache: Optional[VerificationCache] = VerificationCache()
 
         initial = list(graphs)
+        # Refuse a bad collection before paying for its q-gram walk.
+        ids: set = set()
+        for g in initial:
+            self._validate_new(g, ids, initial[0])
+            ids.add(g.graph_id)
         # Freeze the ordering on the initial collection (or empty):
         # either an interning vocabulary (ids in global-ordering rank,
         # the default; the collection walk returns the profiles already
@@ -107,26 +121,19 @@ class GSimIndex:
             for profile in initial_profiles:
                 self._sorter.sort_profile(profile)
         for g, profile in zip(initial, initial_profiles):
-            self._validate_new(g)
             self._insert(g, profile)
 
     def __len__(self) -> int:
         return len(self.graphs)
 
-    def _validate_new(self, g: Graph) -> None:
+    def _validate_new(self, g: Graph, ids: set, first: Optional[Graph]) -> None:
+        """Reject ``g`` without an id, with an id already in ``ids``, or
+        with a directedness other than ``first``'s."""
         if g.graph_id is None:
             raise ParameterError("indexed graphs need an id")
-        if g.graph_id in self._ids:
+        if g.graph_id in ids:
             raise ParameterError(f"duplicate graph id {g.graph_id!r}")
-        self._check_directedness(g)
-
-    def _check_directedness(self, g: Graph) -> None:
-        """Reject ``g`` when its directedness differs from the indexed
-        graphs' (GED is undefined between the two kinds)."""
-        if self.graphs and g.is_directed != self.graphs[0].is_directed:
-            raise ParameterError(
-                "cannot mix directed and undirected graphs in an index"
-            )
+        _require_same_kind(g, first)
 
     def _insert(self, g: Graph, profile: QGramProfile) -> None:
         """Index ``g`` by its ``profile``, already sorted by the sorter."""
@@ -160,7 +167,7 @@ class GSimIndex:
             If the graph has no id, a duplicate id, or a directedness
             other than the indexed graphs'.
         """
-        self._validate_new(g)
+        self._validate_new(g, self._ids, self.graphs[0] if self.graphs else None)
         profile = extract_qgrams(g, self.options.q)
         self._sorter.sort_profile(profile)
         self._insert(g, profile)
@@ -193,7 +200,7 @@ class GSimIndex:
             raise ParameterError(
                 f"tau={tau} exceeds the index's tau_max={self.tau_max}"
             )
-        self._check_directedness(g)
+        _require_same_kind(g, self.graphs[0] if self.graphs else None)
         executor = Executor(
             tau,
             self.options,

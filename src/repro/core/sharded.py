@@ -71,11 +71,20 @@ def gsim_join_sharded(
         uninterrupted run.  Without ``resume``, an existing manifest
         raises :class:`~repro.exceptions.CheckpointError`.
     ``workers``
-        Verify each shard pair's fresh candidates on a process pool
-        (reusing the fault-tolerant parallel chunk runner).
+        With ``workers > 1``, run whole shard pairs as tasks on one
+        process pool of ``min(workers, pending pairs)`` processes.  Each
+        task loads, prepares, scans and verifies its pair in-process,
+        writing the pair's journal and spill queues; the parent stays
+        the only writer of the manifest.  Each concurrent task charges
+        against ``memory_budget_mb / workers``.  Results and statistics
+        counters equal the ``workers=1`` run's.
     ``max_retries`` / ``retry_backoff``
         Transient-``OSError`` policy per shard pair (capped exponential
-        backoff), and the worker pool's chunk retry policy.
+        backoff).  With ``workers > 1`` also the pair-task policy: a
+        task whose worker dies or that raises is re-dispatched on a
+        fresh pool up to ``max_retries`` times (its journal replays
+        what was verified), then the pair runs in-process exactly as
+        with ``workers=1``.
     ``fsync_interval``
         Per-pair journal durability (see :class:`~repro.runtime.
         journal.JoinJournal`).

@@ -36,12 +36,15 @@ per-pair artifacts make the run both *bounded* and *recoverable*:
 
 Transient I/O failures (``OSError``, including injected ENOSPC) retry
 the shard pair with capped exponential backoff up to ``max_retries``
-before propagating.  The deterministic merge orders records by global
-``(lo, hi)`` position, so result order is stable across shard counts,
-split levels and resume boundaries; result *pairs* are invariant under
-all of them because every per-pair filter is a sound GED lower bound
-(only candidate counts and prune attribution shift with the sharding —
-see ``docs/ROBUSTNESS.md``).
+before propagating.  With ``workers > 1`` each pending shard pair is one
+task on a single process pool (:func:`_dispatch_pairs`): the task does
+in its worker exactly what the in-process loop does for the pair, while
+the parent alone writes the manifest.  The deterministic merge orders
+records by global ``(lo, hi)`` position, so result order is stable
+across shard counts, split levels and resume boundaries; result *pairs*
+are invariant under all of them because every per-pair filter is a
+sound GED lower bound (only candidate counts and prune attribution
+shift with the sharding — see ``docs/ROBUSTNESS.md``).
 """
 
 from __future__ import annotations
@@ -51,18 +54,18 @@ import hashlib
 import json
 import os
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.executor import Executor, _options_meta, record_of
 from repro.engine.inverted_index import InvertedIndex
 from repro.engine.options import GSimJoinOptions
-from repro.engine.parallel import DEFAULT_FALLBACK_BUDGET, _run_chunks
 from repro.engine.result import BoundedPair, JoinResult, JoinStatistics, StageStatistics
 from repro.ged.portfolio import validate_backend_options
 from repro.exceptions import CheckpointError, MemoryBudgetError, ParameterError
 from repro.graph.graph import Graph
 from repro.graph.io import dumps_graphs, load_graphs_iter
-from repro.grams.qgrams import QGramProfile
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
@@ -88,9 +91,6 @@ _BYTES_PER_SIZE_UNIT = 1536
 
 #: Cap on the exponential shard-pair retry backoff (seconds).
 _MAX_BACKOFF = 5.0
-
-#: Candidate pairs per worker chunk when ``workers > 1``.
-_CHUNK_SIZE = 8
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -360,36 +360,43 @@ def _emit_result(
     return 0, 0
 
 
+@dataclasses.dataclass(frozen=True)
+class _RunConfig:
+    """The run-wide settings every shard pair is processed under.
+
+    Picklable, so a pair task carries it to its pool worker whole.
+    """
+
+    spill_dir: str
+    run_meta: dict
+    tau: int
+    options: GSimJoinOptions
+    budget: Optional[VerificationBudget]
+    max_retries: int
+    retry_backoff: float
+    fsync_interval: Optional[int]
+
+
 class _ComboContext:
     """Everything one sub-shard combo's verification loop needs."""
 
     def __init__(
         self,
-        tau: int,
-        options: GSimJoinOptions,
-        budget: Optional[VerificationBudget],
+        run: _RunConfig,
         pair_stats: JoinStatistics,
         journal: JoinJournal,
         cand_q: SpillQueue,
         res_q: SpillQueue,
         injector: Optional[FaultInjector],
-        workers: int,
-        max_retries: int,
-        retry_backoff: float,
-        chunk_timeout: Optional[float],
     ) -> None:
-        self.tau = tau
-        self.options = options
-        self.budget = budget
+        self.tau = run.tau
+        self.options = run.options
+        self.budget = run.budget
         self.pair_stats = pair_stats
         self.journal = journal
         self.cand_q = cand_q
         self.res_q = res_q
         self.injector = injector
-        self.workers = workers
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.chunk_timeout = chunk_timeout
         self.results = 0
         self.undecided = 0
 
@@ -404,26 +411,17 @@ class _ComboContext:
         hi: int,
         id_lo: object,
         id_hi: object,
-        todo: List[Tuple[int, int]],
-        todo_keys: Dict[Tuple[int, int], Tuple[int, int, object, object]],
     ) -> None:
-        """Spill one discovered candidate, then replay/verify/defer it.
+        """Spill one discovered candidate, then replay or verify it.
 
         ``r_local``/``s_local`` index the combo's combined graph list
         (``r`` = the later graph by global position, matching the
         in-memory scan's probe orientation); ``(hi, lo)`` is the global
-        journal key.  With ``workers > 1`` fresh pairs are deferred to
-        the worker pool via ``todo``.
+        journal key.
         """
         _step_io(self.injector)
         self.cand_q.append({"lo": lo, "hi": hi})
         rec = self.journal.completed.get((hi, lo))
-        if rec is None and self.workers > 1:
-            if self.injector is not None:
-                self.injector.step()
-            todo.append((r_local, s_local))
-            todo_keys[(r_local, s_local)] = (hi, lo, id_lo, id_hi)
-            return
         if rec is None:
             if self.injector is not None:
                 self.injector.step()
@@ -439,60 +437,6 @@ class _ComboContext:
         d_res, d_und = _emit_result(self.res_q, rec, id_lo, id_hi, self.injector)
         self.results += d_res
         self.undecided += d_und
-
-    def drain_workers(
-        self,
-        executor: Executor,
-        profiles: Sequence[QGramProfile],
-        labels: Sequence[Tuple],
-        todo: List[Tuple[int, int]],
-        todo_keys: Dict[Tuple[int, int], Tuple[int, int, object, object]],
-    ) -> None:
-        """Verify the deferred pairs on the process pool and accrue them.
-
-        Reuses the parallel executor's fault-tolerant chunk runner
-        (pool teardown + re-dispatch + in-process fallback), with no
-        worker-side fault injection — the parent owns the fault
-        schedule, stepping once per pair at dispatch.  The combo's
-        sorted profiles and label multisets travel to the workers, so
-        nothing is extracted twice.
-        """
-        if not todo:
-            return
-        chunks = [
-            todo[k : k + _CHUNK_SIZE] for k in range(0, len(todo), _CHUNK_SIZE)
-        ]
-        chunk_records = _run_chunks(
-            chunks,
-            profiles=profiles,
-            labels=labels,
-            tau=self.tau,
-            options=self.options,
-            budget=self.budget,
-            fault=None,
-            store=None,
-            workers=self.workers,
-            max_retries=self.max_retries,
-            chunk_timeout=self.chunk_timeout,
-            retry_backoff=self.retry_backoff,
-            fallback_budget=(
-                self.budget if self.budget is not None
-                else DEFAULT_FALLBACK_BUDGET
-            ),
-            stats=self.pair_stats,
-        )
-        for idx in range(len(chunks)):
-            for rec in chunk_records[idx]:
-                hi, lo, id_lo, id_hi = todo_keys[(rec.i, rec.j)]
-                grec = dataclasses.replace(rec, i=hi, j=lo)
-                executor.apply_worker_record(grec)
-                _step_io(self.injector)
-                self.journal.append(grec)
-                d_res, d_und = _emit_result(
-                    self.res_q, grec, id_lo, id_hi, self.injector
-                )
-                self.results += d_res
-                self.undecided += d_und
 
 
 def _run_self_combo(ctx: _ComboContext, positions: Sequence[int],
@@ -511,8 +455,6 @@ def _run_self_combo(ctx: _ComboContext, positions: Sequence[int],
 
     index = InvertedIndex()
     unprunable: List[int] = []
-    todo: List[Tuple[int, int]] = []
-    todo_keys: Dict[Tuple[int, int], Tuple[int, int, object, object]] = {}
     for i, profile in enumerate(profiles):
         info = prefixes[i]
         started = time.perf_counter()
@@ -527,7 +469,6 @@ def _run_self_combo(ctx: _ComboContext, positions: Sequence[int],
                 executor, profiles, labels, i, j,
                 positions[j], positions[i],
                 graphs[j].graph_id, graphs[i].graph_id,
-                todo, todo_keys,
             )
         stats.verify_time += time.perf_counter() - started
 
@@ -538,9 +479,6 @@ def _run_self_combo(ctx: _ComboContext, positions: Sequence[int],
         else:
             unprunable.append(i)
         stats.index_time += time.perf_counter() - started
-    started = time.perf_counter()
-    ctx.drain_workers(executor, profiles, labels, todo, todo_keys)
-    stats.verify_time += time.perf_counter() - started
 
 
 def _run_cross_combo(
@@ -576,8 +514,6 @@ def _run_cross_combo(
             unprunable_b.append(j)
     stats.index_time += time.perf_counter() - started
 
-    todo: List[Tuple[int, int]] = []
-    todo_keys: Dict[Tuple[int, int], Tuple[int, int, object, object]] = {}
     for i in range(n_a):
         started = time.perf_counter()
         candidate_ids = executor.collect_candidates(
@@ -599,12 +535,9 @@ def _run_cross_combo(
                 id_lo, id_hi = graphs_a[i].graph_id, graphs_b[j].graph_id
             ctx.handle_candidate(
                 executor, profiles, labels, r_local, s_local,
-                lo, hi, id_lo, id_hi, todo, todo_keys,
+                lo, hi, id_lo, id_hi,
             )
         stats.verify_time += time.perf_counter() - started
-    started = time.perf_counter()
-    ctx.drain_workers(executor, profiles, labels, todo, todo_keys)
-    stats.verify_time += time.perf_counter() - started
 
 
 def _process_pair(
@@ -612,18 +545,9 @@ def _process_pair(
     rec_a: dict,
     rec_b: dict,
     split: int,
-    spill_dir: str,
-    run_meta: dict,
-    tau: int,
-    options: GSimJoinOptions,
-    budget: Optional[VerificationBudget],
+    run: _RunConfig,
     memory: MemoryBudget,
     injector: Optional[FaultInjector],
-    workers: int,
-    max_retries: int,
-    retry_backoff: float,
-    chunk_timeout: Optional[float],
-    fsync_interval: Optional[int],
 ) -> Tuple[JoinStatistics, int, int]:
     """One attempt at one shard pair at one split level.
 
@@ -635,33 +559,30 @@ def _process_pair(
     combo cannot fit (caller degrades the split) and lets ``OSError``
     escape for the caller's retry/backoff policy.
     """
-    is_self = rec_a is rec_b
+    is_self = rec_a["index"] == rec_b["index"]
     pair_stats = JoinStatistics(
         num_graphs=(
             len(rec_a["positions"])
             if is_self
             else len(rec_a["positions"]) + len(rec_b["positions"])
         ),
-        tau=tau,
-        q=options.q,
+        tau=run.tau,
+        q=run.options.q,
     )
     journal = JoinJournal.open(
-        os.path.join(spill_dir, f"pair-{key}.journal.jsonl"),
-        _pair_meta(run_meta, key),
-        fsync_interval=fsync_interval,
+        os.path.join(run.spill_dir, f"pair-{key}.journal.jsonl"),
+        _pair_meta(run.run_meta, key),
+        fsync_interval=run.fsync_interval,
     )
     try:
         with SpillQueue.create(
-            os.path.join(spill_dir, f"pair-{key}.candidates.jsonl")
+            os.path.join(run.spill_dir, f"pair-{key}.candidates.jsonl")
         ) as cand_q, SpillQueue.create(
-            os.path.join(spill_dir, f"pair-{key}.results.jsonl")
+            os.path.join(run.spill_dir, f"pair-{key}.results.jsonl")
         ) as res_q:
-            ctx = _ComboContext(
-                tau, options, budget, pair_stats, journal, cand_q, res_q,
-                injector, workers, max_retries, retry_backoff, chunk_timeout,
-            )
-            path_a = os.path.join(spill_dir, rec_a["file"])
-            path_b = os.path.join(spill_dir, rec_b["file"])
+            ctx = _ComboContext(run, pair_stats, journal, cand_q, res_q, injector)
+            path_a = os.path.join(run.spill_dir, rec_a["file"])
+            path_b = os.path.join(run.spill_dir, rec_b["file"])
             for range_a, range_b in _combos(
                 len(rec_a["positions"]), len(rec_b["positions"]), is_self, split
             ):
@@ -692,6 +613,193 @@ def _process_pair(
             return pair_stats, ctx.results, ctx.undecided
     finally:
         journal.close()
+
+
+def _run_pair(
+    key: str,
+    rec_a: dict,
+    rec_b: dict,
+    split: int,
+    run: _RunConfig,
+    memory: MemoryBudget,
+    injector: Optional[FaultInjector],
+    on_attempt: Optional[Callable[[int], None]] = None,
+) -> Tuple[dict, int]:
+    """Run one shard pair to completion, degrading and retrying.
+
+    A :class:`~repro.exceptions.MemoryBudgetError` retries the pair at
+    the next split level until single-graph sub-shards still do not
+    fit; an ``OSError`` retries it with capped exponential backoff up to
+    ``run.max_retries`` times.  ``on_attempt(split)`` is called before
+    every attempt.  Returns the pair's ``done`` manifest fields (final
+    split, statistics snapshot, result and undecided counts) and the
+    number of attempts made.
+    """
+    attempts = 0
+    attempt_errors = 0
+    n_a = len(rec_a["positions"])
+    n_b = len(rec_b["positions"])
+    while True:
+        attempts += 1
+        if on_attempt is not None:
+            on_attempt(split)
+        try:
+            pair_stats, results_n, undecided_n = _process_pair(
+                key, rec_a, rec_b, split, run, memory, injector
+            )
+        except MemoryBudgetError:
+            memory.reset()
+            if min(2**split, n_a) < n_a or min(2**split, n_b) < n_b:
+                split += 1
+                continue
+            raise
+        except OSError:
+            # Transient I/O (ENOSPC, injected faults, flaky disk):
+            # capped-backoff retry; the journal keeps what was
+            # verified, the queues rebuild from scratch.
+            attempt_errors += 1
+            if attempt_errors > run.max_retries:
+                raise
+            if run.retry_backoff > 0:
+                time.sleep(
+                    min(
+                        run.retry_backoff * 2 ** (attempt_errors - 1),
+                        _MAX_BACKOFF,
+                    )
+                )
+            continue
+        fields = {
+            "split": split,
+            "stats": _stats_snapshot(pair_stats),
+            "results": results_n,
+            "undecided": undecided_n,
+        }
+        return fields, attempts
+
+
+def _pair_task(
+    key: str,
+    rec_a: dict,
+    rec_b: dict,
+    split: int,
+    run: _RunConfig,
+    memory_limit: Optional[int],
+    fault: Optional[FaultPlan],
+) -> Tuple[dict, int, int]:
+    """One shard pair as a pool task: :func:`_run_pair` in the worker.
+
+    The task charges its own :class:`~repro.runtime.sharded.
+    MemoryBudget` capped at ``memory_limit`` (the worker's share of the
+    run's cap) and arms ``fault`` afresh, as the parallel driver's
+    workers do.  It never writes the manifest; it returns the ``done``
+    fields, its attempt count and its budget peak to the parent.
+    """
+    memory = MemoryBudget(memory_limit)
+    injector = fault.start() if fault is not None else None
+    fields, attempts = _run_pair(key, rec_a, rec_b, split, run, memory, injector)
+    return fields, attempts, memory.peak
+
+
+def _key_order(key: str) -> Tuple[int, ...]:
+    """Sort key of a shard-pair key ``"<a>-<b>"``."""
+    return tuple(int(x) for x in key.split("-"))
+
+
+def _pair_records(records: Sequence[dict], key: str) -> Tuple[dict, dict]:
+    """The two shard descriptors of pair ``key`` (the same one twice
+    for a diagonal pair)."""
+    a, b = _key_order(key)
+    return records[a], records[b]
+
+
+def _mark_running(manifest: ShardManifest, key: str, split: int) -> None:
+    """Record one more attempt at pair ``key``, now ``running``."""
+    manifest.update_pair(
+        key,
+        status=PAIR_RUNNING,
+        attempts=int(manifest.pair(key).get("attempts", 0)) + 1,
+        split=split,
+    )
+
+
+def _dispatch_pairs(
+    keys: Sequence[str],
+    records: Sequence[dict],
+    manifest: ShardManifest,
+    run: _RunConfig,
+    memory_limit: Optional[int],
+    fault: Optional[FaultPlan],
+    workers: int,
+) -> Tuple[List[str], int, int]:
+    """Run shard pairs as whole tasks on one process pool.
+
+    Each task processes one pair exactly as the in-process loop would
+    (:func:`_pair_task`), against ``memory_limit // workers`` bytes, so
+    concurrent tasks stay within the run's cap together.  The parent is
+    the manifest's only writer: it marks a pair ``running`` when it
+    dispatches it and ``done`` as its task completes.  A task whose
+    worker dies or that raises is re-dispatched on a fresh pool — its
+    journal replays what was already verified — up to
+    ``run.max_retries`` times.  A pair past that, and a pair its share
+    of the cap cannot hold even at single-graph sub-shards, is handed
+    back for in-process processing after the pool has drained.
+
+    Returns ``(in-process keys, failed tasks, largest task peak)``.
+    """
+    share = None if memory_limit is None else max(1, memory_limit // workers)
+    retries = dict.fromkeys(keys, 0)
+    in_process: List[str] = []
+    failures = 0
+    peak = 0
+    pending = list(keys)
+    while pending:
+        failed: List[str] = []
+        unsent: List[str] = []
+        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+            futures = {}
+            for key in pending:
+                split = int(manifest.pair(key).get("split", 0))
+                rec_a, rec_b = _pair_records(records, key)
+                try:
+                    future = pool.submit(
+                        _pair_task, key, rec_a, rec_b, split, run, share, fault
+                    )
+                except BrokenProcessPool:
+                    # A task already killed its worker; the pairs not
+                    # yet sent wait for the next pool, uncharged.
+                    unsent.append(key)
+                    continue
+                _mark_running(manifest, key, split)
+                futures[future] = key
+            for future in as_completed(futures):
+                key = futures[future]
+                try:
+                    fields, attempts, task_peak = future.result()
+                except MemoryBudgetError:
+                    in_process.append(key)
+                    continue
+                except Exception:
+                    # A dead worker (BrokenProcessPool, e.g. an OOM
+                    # kill) or an exception escaping the task.
+                    failed.append(key)
+                    continue
+                manifest.update_pair(
+                    key,
+                    status=PAIR_DONE,
+                    attempts=manifest.pair(key)["attempts"] + attempts - 1,
+                    **fields,
+                )
+                peak = max(peak, task_peak)
+        pending = unsent
+        for key in sorted(failed, key=_key_order):
+            failures += 1
+            retries[key] += 1
+            (in_process if retries[key] > run.max_retries else pending).append(key)
+        pending.sort(key=_key_order)
+        if pending and run.retry_backoff > 0:
+            worst = max(retries[key] for key in pending)
+            time.sleep(min(run.retry_backoff * 2 ** (worst - 1), _MAX_BACKOFF))
+    return sorted(in_process, key=_key_order), failures, peak
 
 
 # --- Statistics snapshots -----------------------------------------------
@@ -758,7 +866,6 @@ def execute_sharded_join(
     fault: Optional[FaultPlan] = None,
     max_retries: int = 2,
     retry_backoff: float = 0.1,
-    chunk_timeout: Optional[float] = None,
     fsync_interval: Optional[int] = None,
     on_error: str = "raise",
 ) -> JoinResult:
@@ -840,70 +947,32 @@ def execute_sharded_join(
                     f"{spill_dir}: shard file {rec['file']} recorded in the "
                     "manifest is missing; cannot resume"
                 )
-        keys = sorted(
-            manifest.pairs, key=lambda k: tuple(int(x) for x in k.split("-"))
+        keys = sorted(manifest.pairs, key=_key_order)
+
+    run = _RunConfig(
+        spill_dir, run_meta, tau, options, budget, max_retries,
+        retry_backoff, fsync_interval,
+    )
+    pending = [key for key in keys if manifest.pair(key)["status"] != PAIR_DONE]
+    failed_tasks, task_peak = 0, 0
+    if workers > 1 and pending:
+        pending, failed_tasks, task_peak = _dispatch_pairs(
+            pending, records, manifest, run, memory.limit, fault, workers
         )
+    for key in pending:
+        rec_a, rec_b = _pair_records(records, key)
+        fields, _ = _run_pair(
+            key, rec_a, rec_b, int(manifest.pair(key).get("split", 0)), run,
+            memory, injector,
+            on_attempt=lambda split, key=key: _mark_running(manifest, key, split),
+        )
+        manifest.update_pair(key, status=PAIR_DONE, **fields)
 
     stats = JoinStatistics(num_graphs=n, tau=tau, q=options.q)
-    result = JoinResult(stats=stats)
-
     for key in keys:
-        entry = manifest.pair(key)
-        if entry["status"] == PAIR_DONE:
-            _accrue_snapshot(stats, entry["stats"])
-            continue
-        a, b = (int(x) for x in key.split("-"))
-        rec_a, rec_b = records[a], (records[a] if a == b else records[b])
-        split = int(entry.get("split", 0))
-        attempt_errors = 0
-        while True:
-            manifest.update_pair(
-                key,
-                status=PAIR_RUNNING,
-                attempts=int(entry.get("attempts", 0)) + 1,
-                split=split,
-            )
-            entry = manifest.pair(key)
-            try:
-                pair_stats, results_n, undecided_n = _process_pair(
-                    key, rec_a, rec_b, split, spill_dir, run_meta, tau,
-                    options, budget, memory, injector, workers,
-                    max_retries, retry_backoff, chunk_timeout, fsync_interval,
-                )
-            except MemoryBudgetError:
-                memory.reset()
-                n_a = len(rec_a["positions"])
-                n_b = len(rec_b["positions"])
-                if min(2**split, n_a) < n_a or min(2**split, n_b) < n_b:
-                    split += 1
-                    continue
-                raise
-            except OSError:
-                # Transient I/O (ENOSPC, injected faults, flaky disk):
-                # capped-backoff retry; the journal keeps what was
-                # verified, the queues rebuild from scratch.
-                attempt_errors += 1
-                if attempt_errors > max_retries:
-                    raise
-                if retry_backoff > 0:
-                    time.sleep(
-                        min(
-                            retry_backoff * 2 ** (attempt_errors - 1),
-                            _MAX_BACKOFF,
-                        )
-                    )
-                continue
-            snapshot = _stats_snapshot(pair_stats)
-            manifest.update_pair(
-                key,
-                status=PAIR_DONE,
-                split=split,
-                stats=snapshot,
-                results=results_n,
-                undecided=undecided_n,
-            )
-            _accrue_snapshot(stats, snapshot)
-            break
+        _accrue_snapshot(stats, manifest.pair(key)["stats"])
+    stats.chunk_retries += failed_tasks
+    result = JoinResult(stats=stats)
 
     # Merge: one fault step marks the merge boundary (kill-mid-merge
     # tests aim here), then every done pair's results queue streams in
@@ -934,7 +1003,7 @@ def execute_sharded_join(
             "results": len(result.pairs),
             "undecided": len(result.undecided),
             "fingerprint": result_fingerprint(result),
-            "peak_budget_bytes": memory.peak,
+            "peak_budget_bytes": max(memory.peak, task_peak),
         }
     )
     return result

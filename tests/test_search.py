@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro import GSimIndex, GSimJoinOptions
 from repro.exceptions import ParameterError
 from repro.ged import ged_within, graph_edit_distance
+from repro.graph import Graph
 
 from .conftest import path_graph
 from .test_join import molecule_collection
@@ -40,6 +41,27 @@ class TestConstruction:
         index.add(path_graph(["A"], graph_id=0))
         with pytest.raises(ParameterError, match="duplicate"):
             index.add(path_graph(["B"], graph_id=0))
+
+    @pytest.mark.parametrize("case", ["missing id", "duplicate id", "mixed"])
+    def test_bad_collection_refused_before_extraction(self, monkeypatch, case):
+        """Ids and directedness are checked for the whole collection
+        before its q-gram walk runs."""
+
+        def walk(*args, **kwargs):
+            raise AssertionError("extract_profiles ran on a refused collection")
+
+        monkeypatch.setattr("repro.core.search.extract_profiles", walk)
+        graphs = [path_graph(["A", "B"], graph_id=k) for k in range(3)]
+        if case == "missing id":
+            graphs.append(path_graph(["A"]))
+        elif case == "duplicate id":
+            graphs.append(path_graph(["C"], graph_id=1))
+        else:
+            digraph = Graph("d", directed=True)
+            digraph.add_vertex(0, "A")
+            graphs.append(digraph)
+        with pytest.raises(ParameterError):
+            GSimIndex(graphs, tau_max=1)
 
 
 class TestQueries:

@@ -27,6 +27,7 @@ from repro.core.join import gsim_join
 from repro.core.sharded import gsim_join_sharded, result_fingerprint
 from repro.exceptions import (
     CheckpointError,
+    InjectedFaultError,
     MemoryBudgetError,
     ParameterError,
 )
@@ -52,6 +53,28 @@ COUNTER_FIELDS = (
     "undecided", "pruned_by_count", "pruned_by_global_label",
     "pruned_by_local_label",
 )
+
+
+#: Counters a ``workers=2`` run must share with a ``workers=1`` run of
+#: the same sharding (each shard pair is processed identically).
+PARITY_FIELDS = (
+    "cand1", "cand2", "pruned_by_size", "pruned_by_global_label",
+    "pruned_by_count", "pruned_by_local_label", "ged_calls",
+    "ged_expansions", "results", "replayed_pairs",
+)
+
+
+def assert_candidates_enumerated_once(spill, result):
+    manifest = json.loads((spill / "manifest.json").read_text())
+    seen = []
+    for key in manifest["pairs"]:
+        path = spill / f"pair-{key}.candidates.jsonl"
+        seen.extend(
+            (record["lo"], record["hi"])
+            for record in SpillQueue.replay(path)
+        )
+    assert len(seen) == len(set(seen))
+    assert len(seen) == result.stats.cand1
 
 
 def assert_same_result(resumed, clean):
@@ -315,13 +338,25 @@ class TestShardedParity:
         )
         assert result_fingerprint(result) == expected_fp
 
-    def test_workers_parity(self, graphs, expected, tmp_path):
+    def test_workers_parity(self, graphs, expected, expected_fp, tmp_path):
+        """Pair tasks run each shard pair exactly as the in-process loop
+        does, so every statistics counter matches ``workers=1``."""
+        sequential = gsim_join_sharded(
+            graphs, TAU, spill_dir=tmp_path / "one", shards=3
+        )
         result = gsim_join_sharded(
             graphs, TAU, spill_dir=tmp_path / "spill", shards=3, workers=2,
             retry_backoff=0.0,
         )
         assert result.pairs == expected.pairs
         assert result.undecided == expected.undecided
+        assert result_fingerprint(result) == expected_fp
+        assert result.pairs == sequential.pairs
+        assert result.undecided == sequential.undecided
+        for field in PARITY_FIELDS:
+            assert getattr(result.stats, field) == getattr(
+                sequential.stats, field
+            ), field
 
     def test_fsync_interval_parity(self, graphs, expected_fp, tmp_path):
         result = gsim_join_sharded(
@@ -337,16 +372,21 @@ class TestShardedParity:
         between shard pairs."""
         spill = tmp_path / "spill"
         result = gsim_join_sharded(graphs, TAU, spill_dir=spill, shards=4)
-        manifest = json.loads((spill / "manifest.json").read_text())
-        seen = []
-        for key in manifest["pairs"]:
-            path = spill / f"pair-{key}.candidates.jsonl"
-            seen.extend(
-                (record["lo"], record["hi"])
-                for record in SpillQueue.replay(path)
-            )
-        assert len(seen) == len(set(seen))
-        assert len(seen) == result.stats.cand1
+        assert_candidates_enumerated_once(spill, result)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_candidates_enumerated_exactly_once_with_workers(
+        self, graphs, expected_fp, tmp_path, workers
+    ):
+        """Pair tasks write disjoint per-pair files; with as many or
+        more workers than cores no pair is lost or examined twice."""
+        spill = tmp_path / "spill"
+        result = gsim_join_sharded(
+            graphs, TAU, spill_dir=spill, shards=4, workers=workers,
+            retry_backoff=0.0,
+        )
+        assert_candidates_enumerated_once(spill, result)
+        assert result_fingerprint(result) == expected_fp
 
     def test_lenient_loading_skips_corrupt_graphs(self, tmp_path):
         good = molecule_collection(8, seed=5)
@@ -558,6 +598,122 @@ class TestSpillFaults:
             graphs, TAU, spill_dir=spill, shards=2, resume=True
         )
         assert result_fingerprint(result) == expected_fp
+
+
+# --- Recovery with pair tasks on a process pool ---------------------------
+
+
+class TestPairTaskRecovery:
+    SHARDS = 3
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_killed_pair_task_is_redispatched(
+        self, graphs, expected_fp, tmp_path, max_retries
+    ):
+        """A worker dies mid-pair (latched: once).  The pair runs again
+        on a fresh pool — or, with ``max_retries=0``, in-process — and
+        the run lands on the uninterrupted fingerprint."""
+        latch = tmp_path / "latch"
+        result = gsim_join_sharded(
+            graphs, TAU, spill_dir=tmp_path / "spill", shards=self.SHARDS,
+            workers=2, max_retries=max_retries, retry_backoff=0.0,
+            fault=FaultPlan("kill", at=3, latch_path=str(latch)),
+        )
+        assert latch.exists()  # the fault really fired
+        assert result_fingerprint(result) == expected_fp
+        assert result.stats.chunk_retries >= 1
+
+    def test_pairs_unsent_to_a_broken_pool_wait_uncharged(
+        self, graphs, expected_fp, tmp_path, monkeypatch
+    ):
+        """A worker can die while the parent is still submitting; the
+        pairs the broken pool refuses go to the next pool without a
+        retry charge."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        pools = []
+
+        class BreaksAfterOneSubmit(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if not pools:
+                    pools.append(self)
+                elif pools[0] is self:
+                    raise BrokenProcessPool("worker died during dispatch")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.engine.sharded.ProcessPoolExecutor", BreaksAfterOneSubmit
+        )
+        spill = tmp_path / "spill"
+        result = gsim_join_sharded(
+            graphs, TAU, spill_dir=spill, shards=self.SHARDS, workers=2,
+            retry_backoff=0.0,
+        )
+        assert result_fingerprint(result) == expected_fp
+        assert result.stats.chunk_retries == 0
+        manifest = json.loads((spill / "manifest.json").read_text())
+        assert all(p["attempts"] == 1 for p in manifest["pairs"].values())
+
+    def test_stopped_run_resumes_with_workers(self, graphs, tmp_path):
+        """A run stopped with its first shard pair done and the second
+        one part-verified resumes on a pool to the identical result."""
+        clean = gsim_join_sharded(
+            graphs, TAU, spill_dir=tmp_path / "clean", shards=self.SHARDS
+        )
+        manifest = json.loads((tmp_path / "clean" / "manifest.json").read_text())
+        first = min(manifest["pairs"], key=lambda k: tuple(map(int, k.split("-"))))
+        stop_at = manifest["pairs"][first]["stats"]["cand1"] + 2
+
+        spill = tmp_path / "spill"
+        with pytest.raises(InjectedFaultError):
+            gsim_join_sharded(
+                graphs, TAU, spill_dir=spill, shards=self.SHARDS,
+                fault=FaultPlan("raise", at=stop_at),
+            )
+        statuses = [
+            p["status"]
+            for p in json.loads((spill / "manifest.json").read_text())[
+                "pairs"
+            ].values()
+        ]
+        assert "done" in statuses and statuses.count("done") < len(statuses)
+
+        resumed = gsim_join_sharded(
+            graphs, TAU, spill_dir=spill, shards=self.SHARDS, resume=True,
+            workers=2, retry_backoff=0.0,
+        )
+        assert result_fingerprint(resumed) == result_fingerprint(clean)
+        assert_same_result(resumed, clean)
+        # The interrupted pair's journal held the one verification made
+        # before the stop.
+        assert resumed.stats.replayed_pairs == 1
+
+    def test_memory_cap_is_split_between_workers(
+        self, graphs, expected_fp, tmp_path
+    ):
+        spill = tmp_path / "spill"
+        cap_mb = 0.25
+        result = gsim_join_sharded(
+            graphs, TAU, spill_dir=spill, shards=self.SHARDS, workers=2,
+            memory_budget_mb=cap_mb, retry_backoff=0.0,
+        )
+        assert result_fingerprint(result) == expected_fp
+        manifest = json.loads((spill / "manifest.json").read_text())
+        assert max(pair["split"] for pair in manifest["pairs"].values()) > 0
+        peak = manifest["complete"]["peak_budget_bytes"]
+        assert 0 < peak <= int(cap_mb * 1024 * 1024) // 2
+
+    def test_budget_below_minimal_combo_raises_with_workers(
+        self, graphs, tmp_path
+    ):
+        """A pair no share of the cap can hold runs in-process under the
+        whole cap, and raises there exactly as ``workers=1`` does."""
+        with pytest.raises(MemoryBudgetError, match="memory budget"):
+            gsim_join_sharded(
+                graphs, TAU, spill_dir=tmp_path / "spill", shards=2,
+                workers=2, memory_budget_mb=0.02, retry_backoff=0.0,
+            )
 
 
 # --- Out-of-core under a hard address-space cap ---------------------------
